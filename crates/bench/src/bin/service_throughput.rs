@@ -1,11 +1,11 @@
 //! ft-service throughput/latency baseline: requests per second as a
-//! function of worker batch size, at three operand sizes (one per
-//! kernel). Results are recorded in EXPERIMENTS.md.
+//! function of the dispatcher's batch bound (`batching.max_batch`), at
+//! three operand sizes. Results are recorded in EXPERIMENTS.md.
 //!
 //! Run with `cargo run --release -p ft-bench --bin service_throughput`.
 
 use ft_bench::operands;
-use ft_service::{KernelPolicy, MulService, ServiceConfig, SubmitError};
+use ft_service::{BatchingConfig, MulService, ServiceConfig, SubmitError};
 use std::time::Instant;
 
 /// (label, operand bits, requests per measurement).
@@ -19,27 +19,24 @@ const BATCH_SIZES: [usize; 3] = [1, 4, 16];
 const SUBMITTERS: usize = 4;
 
 fn main() {
-    println!("ft-service throughput baseline ({SUBMITTERS} submitter threads, 4 workers)");
+    println!("ft-service throughput baseline ({SUBMITTERS} submitter threads, two lanes)");
     println!(
         "{:<20} {:>9} {:>9} {:>12} {:>14} {:>16}",
         "workload", "batch", "requests", "elapsed", "requests/sec", "mean latency"
     );
     for (label, bits, requests) in SIZES {
-        for batch_max in BATCH_SIZES {
-            run_once(label, bits, requests, batch_max);
+        for max_batch in BATCH_SIZES {
+            run_once(label, bits, requests, max_batch);
         }
     }
 }
 
-fn run_once(label: &str, bits: u64, requests: usize, batch_max: usize) {
+fn run_once(label: &str, bits: u64, requests: usize, max_batch: usize) {
     let config = ServiceConfig {
-        workers: 4,
-        queue_capacity: 256,
-        batch_max,
-        kernel_policy: KernelPolicy {
-            // Default crossover thresholds: ≤6 kbit schoolbook,
-            // ≤120 kbit sequential Toom, above that parallel Toom.
-            ..KernelPolicy::default()
+        batching: BatchingConfig {
+            max_batch,
+            queue_capacity: 256,
+            ..BatchingConfig::default()
         },
         // The baseline excludes the (default-on) residue verification
         // hook; verify_overhead measures its delta against these rows.
@@ -85,7 +82,7 @@ fn run_once(label: &str, bits: u64, requests: usize, batch_max: usize) {
     let metrics = service.shutdown();
     let rps = completed as f64 / elapsed.as_secs_f64();
     println!(
-        "{label:<20} {batch_max:>9} {completed:>9} {:>12.3?} {rps:>14.1} {:>13} us",
+        "{label:<20} {max_batch:>9} {completed:>9} {:>12.3?} {rps:>14.1} {:>13} us",
         elapsed,
         metrics.mean_latency_us(),
     );

@@ -22,7 +22,9 @@
 
 use ft_bench::operands;
 use ft_service::plan_cache::PlanCache;
-use ft_service::{Kernel, KernelPolicy, MulService, ServiceConfig, SubmitError, VerifyPolicy};
+use ft_service::{
+    BatchingConfig, Kernel, KernelPolicy, MulService, ServiceConfig, SubmitError, VerifyPolicy,
+};
 use ft_toom_core::{residue, seq, ToomPlan};
 use std::time::{Duration, Instant};
 
@@ -71,7 +73,7 @@ fn main() {
     println!();
     println!(
         "end-to-end throughput, mixed {CLASS_BITS:?}-bit classes \
-         ({requests} requests, 4 submitters, 4 workers, best of {rounds} interleaved rounds)"
+         ({requests} requests, 4 submitters, two lanes, best of {rounds} interleaved rounds)"
     );
     let mut rps = [0f64; 3]; // off, default sampling, always-on
     for _ in 0..rounds {
@@ -211,8 +213,10 @@ fn direct_cost(bits: u64, calls: usize, vp: &VerifyPolicy) -> DirectCost {
 fn service_run(requests: usize, dual_per_10k: u32) -> f64 {
     const SUBMITTERS: usize = 4;
     let config = ServiceConfig {
-        workers: 4,
-        queue_capacity: 256,
+        batching: BatchingConfig {
+            queue_capacity: 256,
+            ..BatchingConfig::default()
+        },
         verify_residues: true,
         verify: VerifyPolicy {
             dual_per_10k,

@@ -8,7 +8,7 @@
 //! fault-tolerance bounds.
 //!
 //! **End-to-end**: the service_throughput baseline (4 submitter
-//! threads, 4 workers, batch_max 16) served with `verify_residues` off
+//! threads, two lanes, max_batch 16) served with `verify_residues` off
 //! and on (chaos disabled in both), comparing the mean completion
 //! latency, interleaved best-of-5; on a time-sliced container the
 //! run-to-run noise exceeds the verification cost, so this is a sanity
@@ -21,7 +21,7 @@
 
 use ft_bench::operands;
 use ft_service::plan_cache::PlanCache;
-use ft_service::{Kernel, KernelPolicy, MulService, ServiceConfig, SubmitError};
+use ft_service::{BatchingConfig, Kernel, KernelPolicy, MulService, ServiceConfig, SubmitError};
 use ft_toom_core::residue;
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ fn main() {
     println!();
     println!(
         "end-to-end mean latency, service_throughput methodology \
-         (4 submitters, 4 workers, batch 16, interleaved best of {END_TO_END_RUNS})"
+         (4 submitters, two lanes, batch 16, interleaved best of {END_TO_END_RUNS})"
     );
     println!(
         "{:<20} {:>9} {:>12} {:>12} {:>10}",
@@ -113,9 +113,11 @@ fn direct_cost(bits: u64, calls: usize) -> (Duration, Duration) {
 fn service_run(bits: u64, requests: usize, verify: bool) -> u64 {
     const SUBMITTERS: usize = 4;
     let config = ServiceConfig {
-        workers: 4,
-        queue_capacity: 256,
-        batch_max: 16,
+        batching: BatchingConfig {
+            max_batch: 16,
+            queue_capacity: 256,
+            ..BatchingConfig::default()
+        },
         verify_residues: verify,
         chaos: None,
         ..ServiceConfig::default()

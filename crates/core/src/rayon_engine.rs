@@ -51,133 +51,6 @@ pub fn par_toom_with_plan(
     }
 }
 
-/// Multiply every pair in `pairs` with one shared plan, returning products
-/// in input order. This is the batch entry point for cross-request
-/// coalescing layers (ft-service): the plan is resolved once, and the
-/// batch is executed in at most `lanes` coarse chunks rather than
-/// per-element tasks — the right granularity when elements are plentiful
-/// and individually small.
-///
-/// `lanes == 0` uses the machine's available parallelism; `lanes <= 1`
-/// (in particular any single-core host) runs the whole batch sequentially
-/// on the calling thread, sharing one scratch workspace across elements.
-/// Within an element, `par_depth` still controls fork-join recursion
-/// exactly as in [`par_toom_with_plan`].
-///
-/// # Panics
-/// A panic in any element propagates to the caller (after the other lanes
-/// finish), so supervision layers can treat the whole batch as one failed
-/// attempt.
-#[must_use]
-pub fn mul_batch_with_plan(
-    pairs: &[(BigInt, BigInt)],
-    plan: &ToomPlan,
-    threshold_bits: u64,
-    par_depth: usize,
-    lanes: usize,
-) -> Vec<BigInt> {
-    batch_map(pairs, lanes, |a, b, ws| {
-        mul_one_ws(a, b, plan, threshold_bits, par_depth, ws)
-    })
-}
-
-/// Schoolbook analogue of [`mul_batch_with_plan`]: multiply every pair
-/// quadratically, in at most `lanes` chunks, products in input order.
-#[must_use]
-pub fn mul_batch_schoolbook(pairs: &[(BigInt, BigInt)], lanes: usize) -> Vec<BigInt> {
-    batch_map(pairs, lanes, |a, b, _ws| a.mul_schoolbook(b))
-}
-
-/// NTT analogue of [`mul_batch_with_plan`]: every pair goes through the
-/// two-prime CRT NTT kernel, sharing one scratch workspace per lane (the
-/// transform buffers and twiddle caches stay warm across elements).
-#[must_use]
-pub fn mul_batch_ntt(pairs: &[(BigInt, BigInt)], lanes: usize) -> Vec<BigInt> {
-    batch_map(pairs, lanes, |a, b, ws| a.mul_ntt_with_ws(b, ws))
-}
-
-/// One signed multiplication against a caller-held workspace; the shared
-/// scratch arena is what lets a sequential batch reuse its allocations
-/// across elements instead of re-warming a fresh arena per product.
-fn mul_one_ws(
-    a: &BigInt,
-    b: &BigInt,
-    plan: &ToomPlan,
-    threshold_bits: u64,
-    par_depth: usize,
-    ws: &mut Workspace,
-) -> BigInt {
-    let sign = a.sign().mul(b.sign());
-    if sign == Sign::Zero {
-        return BigInt::zero();
-    }
-    let mag = rec(a, b, plan, threshold_bits.max(8), par_depth, ws);
-    if sign == Sign::Negative {
-        -mag
-    } else {
-        mag
-    }
-}
-
-/// Resolve a `lanes` request against a batch of `elements`: `0` means the
-/// machine's available parallelism, and a batch never uses more lanes
-/// than it has elements. Serving layers use this to detect the
-/// single-lane case up front (where a fused multiply-then-verify loop
-/// beats a two-pass batch).
-#[must_use]
-pub fn effective_lanes(lanes: usize, elements: usize) -> usize {
-    if lanes == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        lanes
-    }
-    .min(elements)
-}
-
-/// Chunked batch executor shared by the batch entry points. Spawns at most
-/// `lanes` scoped threads (never more than elements); each lane multiplies
-/// a contiguous chunk inside its own thread-local workspace.
-fn batch_map<F>(pairs: &[(BigInt, BigInt)], lanes: usize, mul: F) -> Vec<BigInt>
-where
-    F: Fn(&BigInt, &BigInt, &mut Workspace) -> BigInt + Sync,
-{
-    let lanes = effective_lanes(lanes, pairs.len());
-    if lanes <= 1 {
-        return workspace::with_thread_local(|ws| {
-            pairs.iter().map(|(a, b)| mul(a, b, ws)).collect()
-        });
-    }
-    let chunk = pairs.len().div_ceil(lanes);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|chunk| {
-                let mul = &mul;
-                scope.spawn(move || {
-                    workspace::with_thread_local(|ws| {
-                        chunk
-                            .iter()
-                            .map(|(a, b)| mul(a, b, ws))
-                            .collect::<Vec<BigInt>>()
-                    })
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut panicked = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(products) => out.extend(products),
-                Err(payload) => panicked = Some(payload),
-            }
-        }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-        out
-    })
-}
-
 /// Magnitude recursion (`|a|·|b|`, signs handled by callers). Each rayon
 /// task gets its own [`Workspace`]: the closure running on a stolen worker
 /// re-enters the *worker's* thread-local arena, so scratch never crosses
@@ -289,56 +162,6 @@ mod tests {
         let (a, b) = (a.abs(), b.abs());
         assert_eq!(par_toom_k(&-&a, &b, 3, 512, 2), -(a.mul_schoolbook(&b)));
         assert!(par_toom_k(&BigInt::zero(), &b, 3, 512, 2).is_zero());
-    }
-
-    #[test]
-    fn batch_matches_per_element_results_across_lane_counts() {
-        let mut pairs = Vec::new();
-        for i in 0..13u64 {
-            let (a, b) = random_pair(600 + 400 * i, 100 + i);
-            pairs.push((a, b));
-        }
-        pairs.push((BigInt::zero(), pairs[0].1.clone()));
-        pairs.push((-&pairs[1].0, pairs[1].1.clone()));
-        let plan = ToomPlan::shared(3);
-        let expect: Vec<BigInt> = pairs.iter().map(|(a, b)| a.mul_schoolbook(b)).collect();
-        for lanes in [0usize, 1, 2, 3, 16] {
-            assert_eq!(
-                mul_batch_with_plan(&pairs, &plan, 512, 0, lanes),
-                expect,
-                "toom lanes={lanes}"
-            );
-            assert_eq!(
-                mul_batch_schoolbook(&pairs, lanes),
-                expect,
-                "schoolbook lanes={lanes}"
-            );
-        }
-        // par_depth forks inside elements; results must be unchanged.
-        assert_eq!(mul_batch_with_plan(&pairs, &plan, 512, 2, 2), expect);
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        assert!(mul_batch_with_plan(&[], &ToomPlan::shared(3), 512, 0, 0).is_empty());
-        assert!(mul_batch_schoolbook(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn batch_panics_propagate_after_all_lanes_finish() {
-        // A poisoned element must fail the whole batch call (the service
-        // supervisor catches it at the batch boundary), not hang or abort.
-        let result = std::panic::catch_unwind(|| {
-            let pairs: Vec<(BigInt, BigInt)> =
-                (0..4u64).map(|i| random_pair(256, 200 + i)).collect();
-            batch_map(&pairs, 2, |a, b, _ws| {
-                if a == &pairs[3].0 {
-                    panic!("injected lane failure");
-                }
-                a.mul_schoolbook(b)
-            })
-        });
-        assert!(result.is_err());
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn usage() -> ! {
          \x20              [--addr HOST:PORT] [--shards N] [--seed N] [--out FILE] [--quick]\n\
          \x20              [--sweep [--steps RPS:RPS:...]]\n\
          --sweep runs the admission-control experiment: an in-process server\n\
-         with a small async queue and a tight connection cap, stepped through\n\
+         with a small lane queue and a tight connection cap, stepped through\n\
          open-loop total-RPS levels while an over-cap prober measures the 503\n\
          reject path. Results merge into --out under \"admission_sweep\"."
     );
@@ -295,7 +295,7 @@ fn probe_over_cap(addr: SocketAddr, cap: usize, want_rejects: usize) -> (usize, 
 }
 
 /// Admission-control sweep (`--sweep`): a deliberately small in-process
-/// server — async queue capacity 8, connection cap `threads + 2` —
+/// server — lane queue capacity 8, connection cap `threads + 2` —
 /// stepped through open-loop offered-load levels. Each step reports
 /// latency percentiles of served requests and the 429 shed rate, while
 /// an over-cap prober verifies that connections past the cap get an
@@ -340,7 +340,7 @@ fn run_sweep(args: &Args) {
     let server = HttpServer::start(&http, service).expect("server");
     let addr = server.local_addr();
     println!(
-        "admission sweep: {threads} clients, conn cap {cap}, async queue {QUEUE_CAPACITY}, steps {steps:?} rps",
+        "admission sweep: {threads} clients, conn cap {cap}, lane queue {QUEUE_CAPACITY}, steps {steps:?} rps",
     );
 
     let mut step_docs = Vec::new();

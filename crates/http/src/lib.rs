@@ -15,14 +15,14 @@
 //! | `/healthz`           | GET    | liveness probe                                   |
 //!
 //! Status codes surface the service's backpressure/degradation ladder
-//! (see `DESIGN.md`): `429 Too Many Requests` + `Retry-After` when every
-//! worker queue is full, `503` when shutting down or load-shedding,
-//! `504` when a request's deadline passes in queue, `500` when the
-//! supervised retry budget and the whole kernel degradation ladder are
-//! exhausted, and `400` for malformed JSON or operands. The batch route
-//! streams each element's result — success or per-element error — as
-//! one NDJSON line, in submission order, as soon as
-//! [`ft_service::BatchHandle::wait_slot`] resolves it.
+//! (see `DESIGN.md`): `429 Too Many Requests` + `Retry-After` when the
+//! request's lane queue is full on every live shard, `503` when shutting
+//! down or load-shedding, `504` when a request's deadline passes in
+//! queue, `500` when the supervised retry budget and the whole kernel
+//! degradation ladder are exhausted, and `400` for malformed JSON or
+//! operands. The batch route streams each element's result — success or
+//! per-element error — as one NDJSON line, in submission order, as soon
+//! as [`ft_service::BatchHandle::wait_slot`] resolves it.
 
 pub mod client;
 pub mod metrics;

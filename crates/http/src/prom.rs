@@ -164,7 +164,7 @@ pub fn render(service: &MetricsSnapshot, http: &HttpSnapshot, net: &NetStats) ->
     counter(
         &mut out,
         "ft_batches_total",
-        "Coalesced batches dispatched by the async path.",
+        "Coalesced batches dispatched by the lanes.",
         service.batches,
     );
     counter(

@@ -186,7 +186,7 @@ fn error_paths_map_to_documented_statuses() {
     }
 
     // Bad deadline → 400; zero deadline → deterministic 504 (it expires
-    // before any worker can dequeue the request).
+    // before its lane can dequeue the request).
     let rsp = client
         .request(
             "POST",

@@ -31,7 +31,6 @@ fn killing_one_of_three_shards_loses_no_in_flight_requests() {
             heartbeat_ms: 5,
             deadline_budget: 2,
             service: ServiceConfig {
-                workers: 1,
                 kernel_policy: KernelPolicy {
                     schoolbook_max_bits: 1 << 40,
                     seq_toom_max_bits: 1 << 41,
@@ -47,7 +46,7 @@ fn killing_one_of_three_shards_loses_no_in_flight_requests() {
     let mut rng = StdRng::seed_from_u64(77);
 
     // Build a same-size-class workload owned by one shard, so killing
-    // that shard strands queued work behind its single busy worker.
+    // that shard strands queued work behind its busy big lane.
     let work: Vec<(BigInt, BigInt, BigInt)> = (0..8)
         .map(|_| {
             let a = BigInt::random_signed_bits(&mut rng, 500_000);
@@ -81,7 +80,7 @@ fn killing_one_of_three_shards_loses_no_in_flight_requests() {
         .collect();
 
     // Kill only once requests are demonstrably queued behind the
-    // victim's single busy worker, so the death strands in-flight work
+    // victim's busy big lane, so the death strands in-flight work
     // and the failover path (not mere re-placement) must save it.
     let deadline = Instant::now() + Duration::from_secs(30);
     while router.shard_depths()[victim] < 2 {

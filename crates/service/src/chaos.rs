@@ -12,7 +12,7 @@
 //! | `Corrupt` | soft fault (silent miscalculation) | the product is corrupted ([`CorruptionKind`]) |
 //!
 //! Faults are drawn from `(seed, request index, attempt)` only, so a chaos
-//! run is exactly reproducible for a given seed regardless of worker
+//! run is exactly reproducible for a given seed regardless of thread
 //! scheduling. Config is JSON-loadable like `KernelPolicy`.
 
 use crate::config::ConfigError;
@@ -29,7 +29,7 @@ pub const INJECTED_PANIC_MSG: &str = "chaos-injected worker panic";
 
 /// The injectable fault kinds (see the module docs for the mapping to
 /// the paper's hard/delay/soft fault model). The first three target one
-/// request attempt inside a worker; the shard kinds target a whole
+/// request attempt inside a lane; the shard kinds target a whole
 /// [`crate::shard::Shard`] and are drawn by the router's monitor via
 /// [`ChaosConfig::decide_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,9 +142,6 @@ pub struct ChaosConfig {
     /// Probabilistic faults fire only on attempts below this bound, so a
     /// supervised retry deterministically clears an injected fault.
     pub max_faulty_attempts: u32,
-    /// Rethrow injected panics outside the supervisor: the worker thread
-    /// dies, as it would without `catch_unwind` supervision.
-    pub escalate_panics: bool,
     /// Forced faults `(request index, kind)`, fired on the first attempt
     /// regardless of the probabilistic rates.
     pub force: Vec<(u64, FaultKind)>,
@@ -171,7 +168,6 @@ impl Default for ChaosConfig {
             corruption: CorruptionKind::SingleLimb,
             straggle_ms: 2,
             max_faulty_attempts: 1,
-            escalate_panics: false,
             force: Vec::new(),
             shard_kill_per_10k: 0,
             shard_stall_per_10k: 0,
@@ -344,12 +340,6 @@ impl ChaosConfig {
                 ))
             }
         };
-        let escalate_panics = match json.get("escalate_panics") {
-            None => d.escalate_panics,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("chaos.escalate_panics must be a boolean".to_string())
-            })?,
-        };
         let force = match json.get("force") {
             None => d.force.clone(),
             Some(Json::Arr(items)) => {
@@ -411,7 +401,6 @@ impl ChaosConfig {
             corruption,
             straggle_ms: get_u64("straggle_ms", d.straggle_ms)?,
             max_faulty_attempts: get_u32("max_faulty_attempts", d.max_faulty_attempts)?,
-            escalate_panics,
             force,
             shard_kill_per_10k: get_u32("shard_kill_per_10k", d.shard_kill_per_10k)?,
             shard_stall_per_10k: get_u32("shard_stall_per_10k", d.shard_stall_per_10k)?,
@@ -449,7 +438,6 @@ impl ChaosConfig {
                 "max_faulty_attempts",
                 Json::Num(i128::from(self.max_faulty_attempts)),
             ),
-            ("escalate_panics", Json::Bool(self.escalate_panics)),
             (
                 "force",
                 Json::Arr(
@@ -508,10 +496,9 @@ fn invalid_force_shard() -> ConfigError {
 }
 
 /// Install a process-wide panic hook that silences the backtrace spam from
-/// *expected* panics — chaos-injected worker panics and the distributed
-/// backend's unrecoverable-run marker (both caught by the supervisor, or
-/// deliberately escalated) — while delegating every other panic to the
-/// previously installed hook. Idempotent; intended for chaos tests and
+/// *expected* panics — chaos-injected kernel panics and the distributed
+/// backend's unrecoverable-run marker, both caught by the supervisor —
+/// while delegating every other panic to the previously installed hook. Idempotent; intended for chaos tests and
 /// demos.
 pub fn install_quiet_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -668,7 +655,6 @@ mod tests {
             corruption: CorruptionKind::ResidueEvading,
             straggle_ms: 5,
             max_faulty_attempts: 2,
-            escalate_panics: true,
             force: vec![(3, FaultKind::Panic), (9, FaultKind::Straggle)],
             shard_kill_per_10k: 10,
             shard_stall_per_10k: 20,
@@ -686,8 +672,8 @@ mod tests {
         assert!(ChaosConfig::from_json(&Json::parse(over).unwrap()).is_err());
         let bad_kind = r#"{"force": [{"index": 1, "kind": "meltdown"}]}"#;
         assert!(ChaosConfig::from_json(&Json::parse(bad_kind).unwrap()).is_err());
-        let bad_bool = r#"{"escalate_panics": 3}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_bool).unwrap()).is_err());
+        let bad_number = r#"{"straggle_ms": true}"#;
+        assert!(ChaosConfig::from_json(&Json::parse(bad_number).unwrap()).is_err());
         let bad_corruption = r#"{"corruption": "cosmic_ray"}"#;
         assert!(ChaosConfig::from_json(&Json::parse(bad_corruption).unwrap()).is_err());
         let bad_corruption_type = r#"{"corruption": 7}"#;

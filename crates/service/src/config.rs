@@ -37,7 +37,10 @@ pub struct KernelPolicy {
     pub seq_toom_k: usize,
     /// Split parameter for the parallel Toom-Cook kernel.
     pub par_toom_k: usize,
-    /// Base-case cutoff inside the Toom recursions.
+    /// Base-case cutoff inside the Toom recursions. Also the lane
+    /// boundary: a product whose larger operand is at most this size is
+    /// one limb-kernel call and runs in the service's small lane. The
+    /// tuner never moves it.
     pub toom_threshold_bits: u64,
     /// Recursion levels the parallel kernel forks before going sequential.
     pub par_depth: usize,
@@ -57,25 +60,20 @@ impl Default for KernelPolicy {
     }
 }
 
-/// Knobs for the async submission path: how long the dispatcher waits to
-/// coalesce same-shape requests, and how it executes the merged batch.
+/// Knobs for the two execution lanes: how long a lane's dispatcher waits
+/// to coalesce same-shape requests, and how much each lane queues.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchingConfig {
     /// Coalescing window in µs: after the first queued request arrives,
     /// the dispatcher keeps collecting for at most this long before
     /// dispatching. `0` disables coalescing (every request dispatches
-    /// alone, still through the async path).
+    /// alone, still through its lane's dispatcher).
     pub window_us: u64,
     /// Most requests merged into one executed batch.
     pub max_batch: usize,
-    /// Capacity of the central async submission queue; `submit_async`
-    /// beyond it returns [`crate::SubmitError::QueueFull`].
+    /// Capacity of each lane's submission queue; a submission beyond it
+    /// returns [`crate::SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Threads used to execute one batch's elements (chunked, not
-    /// per-element). `0` picks the machine's available parallelism;
-    /// `1` runs the batch sequentially on the dispatcher thread, which
-    /// is the right choice on a single-core host.
-    pub lanes: usize,
 }
 
 impl Default for BatchingConfig {
@@ -84,7 +82,6 @@ impl Default for BatchingConfig {
             window_us: 150,
             max_batch: 32,
             queue_capacity: 1_024,
-            lanes: 0,
         }
     }
 }
@@ -311,7 +308,6 @@ impl BatchingConfig {
             window_us: field_u64(json, "window_us", d.window_us)?,
             max_batch: field_usize(json, "max_batch", d.max_batch)?,
             queue_capacity: field_usize(json, "queue_capacity", d.queue_capacity)?,
-            lanes: field_usize(json, "lanes", d.lanes)?,
         };
         if cfg.max_batch == 0 {
             return Err(ConfigError::Invalid(
@@ -331,7 +327,6 @@ impl BatchingConfig {
             ("window_us", Json::Num(i128::from(self.window_us))),
             ("max_batch", Json::Num(self.max_batch as i128)),
             ("queue_capacity", Json::Num(self.queue_capacity as i128)),
-            ("lanes", Json::Num(self.lanes as i128)),
         ])
     }
 }
@@ -376,16 +371,12 @@ impl TunerConfig {
     }
 }
 
-/// Full service configuration.
+/// Full service configuration. [`Self::from_json`] ignores unknown keys,
+/// so documents written for earlier versions (with `workers`,
+/// `queue_capacity`, `batch_max`, `batching.lanes` or
+/// `chaos.escalate_panics`) still load.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
-    /// Worker threads, each with its own bounded queue.
-    pub workers: usize,
-    /// Per-worker queue capacity; submissions beyond it get
-    /// [`crate::SubmitError::QueueFull`].
-    pub queue_capacity: usize,
-    /// Max requests a worker drains per batch.
-    pub batch_max: usize,
     /// Queue-age bound in milliseconds after which deadline-less requests
     /// are shed ([`crate::MulError::Shed`]); `None` disables shedding.
     pub shed_after_ms: Option<u64>,
@@ -407,7 +398,7 @@ pub struct ServiceConfig {
     /// Optional deterministic fault-injection plan (chaos testing);
     /// `None` injects nothing.
     pub chaos: Option<ChaosConfig>,
-    /// Async submission path: coalescing window, batch bound, lanes.
+    /// Both lanes' coalescing window, batch bound, and queue capacity.
     pub batching: BatchingConfig,
     /// Adaptive threshold tuner driven by the live latency histogram.
     pub tuner: TunerConfig,
@@ -419,9 +410,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            workers: 4,
-            queue_capacity: 64,
-            batch_max: 16,
             shed_after_ms: None,
             plan_cache_capacity: 8,
             kernel_policy: KernelPolicy::default(),
@@ -493,10 +481,10 @@ impl ShardConfig {
     /// ```
     /// use ft_service::ShardConfig;
     /// let cfg = ShardConfig::from_json(
-    ///     r#"{"shards": 4, "deadline_budget": 2, "service": {"workers": 1}}"#,
+    ///     r#"{"shards": 4, "deadline_budget": 2, "service": {"shed_after_ms": 50}}"#,
     /// ).unwrap();
     /// assert_eq!(cfg.shards, 4);
-    /// assert_eq!(cfg.service.workers, 1);
+    /// assert_eq!(cfg.service.shed_after_ms, Some(50));
     /// assert_eq!(cfg.heartbeat_ms, ShardConfig::default().heartbeat_ms);
     /// ```
     pub fn from_json(text: &str) -> Result<ShardConfig, ConfigError> {
@@ -660,11 +648,11 @@ impl ServiceConfig {
     /// ```
     /// use ft_service::ServiceConfig;
     /// let cfg = ServiceConfig::from_json(
-    ///     r#"{"workers": 2, "kernel_policy": {"schoolbook_max_bits": 4000}}"#,
+    ///     r#"{"shed_after_ms": 20, "kernel_policy": {"schoolbook_max_bits": 4000}}"#,
     /// ).unwrap();
-    /// assert_eq!(cfg.workers, 2);
+    /// assert_eq!(cfg.shed_after_ms, Some(20));
     /// assert_eq!(cfg.kernel_policy.schoolbook_max_bits, 4000);
-    /// assert_eq!(cfg.batch_max, ServiceConfig::default().batch_max);
+    /// assert_eq!(cfg.batching, ServiceConfig::default().batching);
     /// ```
     pub fn from_json(text: &str) -> Result<ServiceConfig, ConfigError> {
         let json = Json::parse(text).map_err(ConfigError::Parse)?;
@@ -715,9 +703,6 @@ impl ServiceConfig {
             Some(v) => DistributedConfig::from_json(v)?,
         };
         let cfg = ServiceConfig {
-            workers: field_usize(&json, "workers", d.workers)?,
-            queue_capacity: field_usize(&json, "queue_capacity", d.queue_capacity)?,
-            batch_max: field_usize(&json, "batch_max", d.batch_max)?,
             shed_after_ms,
             plan_cache_capacity: field_usize(&json, "plan_cache_capacity", d.plan_cache_capacity)?,
             kernel_policy,
@@ -730,17 +715,6 @@ impl ServiceConfig {
             tuner,
             distributed,
         };
-        if cfg.workers == 0 {
-            return Err(ConfigError::Invalid("workers must be >= 1".to_string()));
-        }
-        if cfg.queue_capacity == 0 {
-            return Err(ConfigError::Invalid(
-                "queue_capacity must be >= 1".to_string(),
-            ));
-        }
-        if cfg.batch_max == 0 {
-            return Err(ConfigError::Invalid("batch_max must be >= 1".to_string()));
-        }
         if cfg.plan_cache_capacity == 0 {
             return Err(ConfigError::Invalid(
                 "plan_cache_capacity must be >= 1".to_string(),
@@ -753,9 +727,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn to_json(&self) -> String {
         obj([
-            ("workers", Json::Num(self.workers as i128)),
-            ("queue_capacity", Json::Num(self.queue_capacity as i128)),
-            ("batch_max", Json::Num(self.batch_max as i128)),
             (
                 "shed_after_ms",
                 self.shed_after_ms
@@ -797,12 +768,31 @@ mod tests {
 
     #[test]
     fn partial_document_keeps_defaults() {
-        let cfg = ServiceConfig::from_json(r#"{"workers": 7, "shed_after_ms": 12}"#).unwrap();
-        assert_eq!(cfg.workers, 7);
+        let cfg =
+            ServiceConfig::from_json(r#"{"plan_cache_capacity": 7, "shed_after_ms": 12}"#).unwrap();
+        assert_eq!(cfg.plan_cache_capacity, 7);
         assert_eq!(cfg.shed_after_ms, Some(12));
-        assert_eq!(cfg.batch_max, ServiceConfig::default().batch_max);
+        assert_eq!(cfg.batching, BatchingConfig::default());
         assert!(cfg.verify_residues);
         assert_eq!(cfg.chaos, None);
+    }
+
+    #[test]
+    fn removed_options_are_ignored() {
+        // Documents written for the worker pool, per-batch lane threads,
+        // and panic escalation still load; the keys no longer mean
+        // anything, even values the old validation rejected.
+        let cfg = ServiceConfig::from_json(
+            r#"{"workers": 0, "queue_capacity": 0, "batch_max": 0,
+                "batching": {"lanes": 2, "max_batch": 8},
+                "chaos": {"seed": 3, "escalate_panics": true}}"#,
+        )
+        .unwrap();
+        assert_eq!(cfg.batching.max_batch, 8);
+        assert_eq!(cfg.chaos.as_ref().map(|c| c.seed), Some(3));
+        for key in ["workers", "batch_max", "lanes", "escalate_panics"] {
+            assert!(!cfg.to_json().contains(key), "{key} is still emitted");
+        }
     }
 
     #[test]
@@ -835,7 +825,7 @@ mod tests {
     fn batching_and_tuner_round_trip() {
         let cfg = ServiceConfig::from_json(
             r#"{
-                "batching": {"window_us": 75, "max_batch": 8, "queue_capacity": 32, "lanes": 1},
+                "batching": {"window_us": 75, "max_batch": 8, "queue_capacity": 32},
                 "tuner": {"enabled": false, "interval_ms": 250, "min_samples": 10,
                           "slowdown_pct": 150}
             }"#,
@@ -844,7 +834,6 @@ mod tests {
         assert_eq!(cfg.batching.window_us, 75);
         assert_eq!(cfg.batching.max_batch, 8);
         assert_eq!(cfg.batching.queue_capacity, 32);
-        assert_eq!(cfg.batching.lanes, 1);
         assert!(!cfg.tuner.enabled);
         assert_eq!(cfg.tuner.interval_ms, 250);
         assert_eq!(cfg.tuner.min_samples, 10);
@@ -930,7 +919,7 @@ mod tests {
             r#"{
                 "shards": 5, "heartbeat_ms": 10, "deadline_budget": 2,
                 "hot_watermark": 16, "idle_watermark": 1, "max_failovers": 2,
-                "service": {"workers": 2, "batching": {"queue_capacity": 8}}
+                "service": {"shed_after_ms": 9, "batching": {"queue_capacity": 8}}
             }"#,
         )
         .unwrap();
@@ -940,7 +929,7 @@ mod tests {
         assert_eq!(cfg.hot_watermark, 16);
         assert_eq!(cfg.idle_watermark, 1);
         assert_eq!(cfg.max_failovers, 2);
-        assert_eq!(cfg.service.workers, 2);
+        assert_eq!(cfg.service.shed_after_ms, Some(9));
         assert_eq!(cfg.service.batching.queue_capacity, 8);
         let again = ShardConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(cfg, again);
@@ -956,7 +945,7 @@ mod tests {
             r#"{"heartbeat_ms": 0}"#,
             r#"{"deadline_budget": 0}"#,
             r#"{"hot_watermark": 1, "idle_watermark": 2}"#,
-            r#"{"service": {"workers": 0}}"#,
+            r#"{"service": {"plan_cache_capacity": 0}}"#,
         ] {
             assert!(
                 matches!(ShardConfig::from_json(bad), Err(ConfigError::Invalid(_))),
@@ -968,11 +957,11 @@ mod tests {
     #[test]
     fn rejects_invalid_values() {
         assert!(matches!(
-            ServiceConfig::from_json(r#"{"workers": 0}"#),
+            ServiceConfig::from_json(r#"{"plan_cache_capacity": 0}"#),
             Err(ConfigError::Invalid(_))
         ));
         assert!(matches!(
-            ServiceConfig::from_json(r#"{"workers": -3}"#),
+            ServiceConfig::from_json(r#"{"plan_cache_capacity": -3}"#),
             Err(ConfigError::Invalid(_))
         ));
         assert!(matches!(

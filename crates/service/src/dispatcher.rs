@@ -1,12 +1,13 @@
-//! The coalescing dispatcher behind `submit_async`.
+//! The coalescing dispatcher: the loop each execution lane runs on its
+//! own thread (see [`crate::service`] for the small/big lane split).
 //!
-//! One thread consumes the central async queue. After the first request
-//! of a round arrives it keeps collecting for at most
-//! `batching.window_us` (or until `batching.max_batch`), then partitions
-//! the round by `(kernel, operand size class)` and executes each group of
-//! two or more as ONE supervised batch through the kernel's multi-product
-//! entry point — one plan resolution, one chaos/`catch_unwind` boundary,
-//! one breaker update for the whole group (see
+//! The loop consumes its lane's queue. After the first request of a
+//! round arrives it keeps collecting for at most `batching.window_us`
+//! (or until `batching.max_batch`), then partitions the round by
+//! `(kernel, operand size class)` and executes each group of two or more
+//! as ONE supervised batch on this thread — one plan resolution, one
+//! chaos/`catch_unwind` boundary, one breaker update for the whole group,
+//! and every product verified while it is still cache-hot (see
 //! [`crate::supervisor::Supervisor::execute_batch`]). Singleton groups
 //! take the ordinary per-request path.
 //!
@@ -25,7 +26,7 @@ use crate::service::{execute_single, gate, MulRequest, Shared, Submission};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-/// Run the dispatcher until the async channel disconnects and drains.
+/// Run the dispatcher until its lane's channel disconnects and drains.
 ///
 /// Each queue message is a [`Submission`]: a single request or a whole
 /// bulk job, exploded here into per-request round entries. `max_batch`
@@ -172,7 +173,6 @@ fn execute_group(
         policy,
         &shared.plans,
         &shared.metrics,
-        shared.config.batching.lanes,
     );
     // Stage every result first, then wake: see [`CompletionGuard::stage`].
     let done_at = Instant::now();

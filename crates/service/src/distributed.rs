@@ -29,8 +29,7 @@ use ft_toom_core::parallel::ParallelConfig;
 
 /// Panic payload of an unrecoverable distributed run (planned column
 /// faults exceed the redundancy `f`). Silenced by the quiet panic hook;
-/// intentionally different from the chaos injected-panic marker so the
-/// supervisor treats it as a plain worker fault, never an escalation.
+/// the supervisor treats it like any other hard fault.
 pub const UNRECOVERABLE_MSG: &str = "distributed-run unrecoverable: column faults exceed f";
 
 /// The fault-point label every injected hard fault targets (any victim

@@ -5,9 +5,9 @@ use std::time::Duration;
 /// Why a submission was refused at the queue boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Every candidate worker queue was at capacity (backpressure).
+    /// The queue of the request's lane was at capacity (backpressure).
     QueueFull {
-        /// Per-worker queue capacity in force when the request was refused.
+        /// Capacity of the lane queue that refused the request.
         capacity: usize,
     },
     /// The service has begun shutdown and accepts no new work.
@@ -18,7 +18,7 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::QueueFull { capacity } => {
-                write!(f, "all worker queues full (capacity {capacity} per worker)")
+                write!(f, "lane queue full (capacity {capacity})")
             }
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -30,7 +30,7 @@ impl std::error::Error for SubmitError {}
 /// Why an accepted request did not produce a product.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MulError {
-    /// The request's deadline elapsed before a worker reached it.
+    /// The request's deadline elapsed before its lane started it.
     DeadlineExceeded {
         /// How long the request sat in the queue before being rejected.
         waited: Duration,

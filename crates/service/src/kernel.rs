@@ -77,53 +77,13 @@ impl Kernel {
         }
     }
 
-    /// Run this kernel over a whole coalesced batch with one shared plan
-    /// resolution, returning products in input order. `lanes` bounds the
-    /// threads used across elements (see
-    /// [`rayon_engine::mul_batch_with_plan`]); the sequential Toom batch
-    /// keeps `par_depth` at zero so a lane shares one scratch workspace
-    /// across its elements.
-    #[must_use]
-    pub fn execute_batch(
-        self,
-        pairs: &[(BigInt, BigInt)],
-        policy: &KernelPolicy,
-        plans: &PlanCache,
-        lanes: usize,
-    ) -> Vec<BigInt> {
-        match self {
-            Kernel::Schoolbook => rayon_engine::mul_batch_schoolbook(pairs, lanes),
-            Kernel::Ntt => rayon_engine::mul_batch_ntt(pairs, lanes),
-            Kernel::SeqToom => {
-                let plan = plans.get(policy.seq_toom_k);
-                rayon_engine::mul_batch_with_plan(
-                    pairs,
-                    &plan,
-                    policy.toom_threshold_bits,
-                    0,
-                    lanes,
-                )
-            }
-            Kernel::ParToom | Kernel::DistributedToom => {
-                let plan = plans.get(policy.par_toom_k);
-                rayon_engine::mul_batch_with_plan(
-                    pairs,
-                    &plan,
-                    policy.toom_threshold_bits,
-                    policy.par_depth,
-                    lanes,
-                )
-            }
-        }
-    }
-
     /// Run this kernel over a coalesced batch one element at a time with
     /// one shared plan resolution, handing each product to `sink` in
-    /// input order. Unlike [`Self::execute_batch`] the caller's sink runs
-    /// *between* multiplications, so per-element post-processing (residue
-    /// verification in the supervisor) touches each operand/product while
-    /// it is still cache-hot instead of re-walking the whole batch in a
-    /// second cold pass.
+    /// input order. The caller's sink runs *between* multiplications, so
+    /// per-element post-processing (residue verification in the
+    /// supervisor) touches each operand/product while it is still
+    /// cache-hot instead of re-walking the whole batch in a second cold
+    /// pass.
     pub fn execute_each<F: FnMut(usize, BigInt)>(
         self,
         pairs: &[(BigInt, BigInt)],
@@ -258,11 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_execution_matches_per_element_execution() {
+    fn execute_each_matches_schoolbook_in_input_order() {
         let policy = KernelPolicy::default();
         let plans = PlanCache::new(4);
         let mut rng = StdRng::seed_from_u64(3);
-        let pairs: Vec<_> = (0..6)
+        let mut pairs: Vec<_> = (0..6)
             .map(|i| {
                 (
                     BigInt::random_signed_bits(&mut rng, 1_000 + 2_000 * i),
@@ -270,16 +230,15 @@ mod tests {
                 )
             })
             .collect();
+        pairs.push((BigInt::zero(), pairs[0].1.clone()));
         let expect: Vec<_> = pairs.iter().map(|(a, b)| a.mul_schoolbook(b)).collect();
         for kernel in Kernel::ALL {
-            for lanes in [1usize, 2] {
-                assert_eq!(
-                    kernel.execute_batch(&pairs, &policy, &plans, lanes),
-                    expect,
-                    "{} lanes={lanes}",
-                    kernel.name()
-                );
-            }
+            let mut got = Vec::new();
+            kernel.execute_each(&pairs, &policy, &plans, |i, product| {
+                assert_eq!(i, got.len(), "{} sinks in input order", kernel.name());
+                got.push(product);
+            });
+            assert_eq!(got, expect, "{}", kernel.name());
         }
     }
 

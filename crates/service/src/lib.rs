@@ -1,8 +1,9 @@
 //! ft-service: a batching multiplication service layer.
 //!
-//! Accepts [`MulRequest`]s on bounded per-worker queues, batches them,
-//! auto-selects a kernel per request size, and returns results through
-//! completion handles. Kernel execution is supervised: panics are caught,
+//! Accepts multiplication requests into one of two bounded lanes (small
+//! products and big ones, so neither queues behind the other), batches
+//! them, auto-selects a kernel per request size, and returns results
+//! through completion handles. Kernel execution is supervised: panics are caught,
 //! products are residue-verified, failures are retried with backoff and
 //! degraded across kernels by per-kernel circuit breakers, and a
 //! deterministic chaos injector can exercise all of it. See `DESIGN.md`

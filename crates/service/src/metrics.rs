@@ -3,7 +3,7 @@
 //! ## Snapshot consistency
 //!
 //! Counters are independent relaxed atomics, so a snapshot taken while
-//! workers are recording can observe *torn* combinations (a request
+//! the lanes are recording can observe *torn* combinations (a request
 //! counted in one counter but not yet in another). The snapshot therefore
 //! derives `served` from the latency histogram itself — the bucket sum
 //! *is* the served count, so `served == Σ latency_buckets` holds by
@@ -56,7 +56,7 @@ fn saturating_fetch_add(counter: &AtomicU64, value: u64) {
     });
 }
 
-/// Shared mutable counters, updated by submitters and workers.
+/// Shared mutable counters, updated by submitters and lane dispatchers.
 #[derive(Default)]
 pub(crate) struct Metrics {
     rejected_queue_full: AtomicU64,
@@ -405,7 +405,7 @@ pub struct MetricsSnapshot {
     pub latency_total_us: u64,
     /// Non-empty per-(kernel, size-class) latency cells.
     pub kernel_classes: Vec<KernelClassRow>,
-    /// Coalesced batches dispatched by the async path (groups of ≥ 2).
+    /// Coalesced batches dispatched by the lanes (groups of ≥ 2).
     pub batches: u64,
     /// Requests that rode in those coalesced batches.
     pub batched_requests: u64,

@@ -1,23 +1,26 @@
-//! The multiplication service: sharded bounded queues, batching workers,
-//! per-request completion handles, and an event-driven async path.
+//! The multiplication service: two execution lanes, each a bounded queue
+//! drained by one coalescing dispatcher thread, and the completion handles
+//! clients wait on.
 //!
-//! Architecture: `submit` round-robins requests across `workers` bounded
-//! crossbeam queues (one per worker, with one failover probe before
-//! reporting backpressure). Each worker drains its queue in batches of up
-//! to `batch_max`, applies the robustness checks (deadline, shedding),
-//! auto-selects a kernel per request, and publishes the product through
-//! the request's completion handle.
+//! Architecture: [`MulService::submit`] and [`MulService::submit_many`]
+//! are the only ways in, and each picks a lane from the operand bit
+//! lengths it already holds:
 //!
-//! `submit_async` instead enqueues on one central queue consumed by the
-//! coalescing dispatcher (see [`crate::dispatcher`]), which groups
-//! same-shape requests into one batch kernel invocation; `submit_many`
-//! ships a whole chunk of requests as one queue message resolved
-//! through one shared [`BatchHandle`], amortizing the submit- and
-//! wait-side costs across the chunk as well. All paths read
-//! the *live* kernel policy, which the adaptive tuner
+//! - the **small lane** takes products whose larger operand is at most
+//!   `kernel_policy.toom_threshold_bits` (24,576 bits by default: one
+//!   limb-kernel call, no Toom recursion);
+//! - the **big lane** takes everything else.
+//!
+//! Each lane runs [`crate::dispatcher`]'s loop on its own thread, which
+//! coalesces same-shape requests into one supervised batch. A bulk
+//! submission travels as one queue message to the lane of its largest
+//! operand and resolves through one shared [`BatchHandle`]. The split
+//! keeps a kilobit request from queueing behind a megabit Toom or NTT
+//! job, as the paper gives independent products their own processors.
+//! Both lanes read the *live* kernel policy, which the adaptive tuner
 //! (see [`crate::tuner`]) re-derives from the latency histogram at
-//! runtime. Shutdown drops the senders; workers and the dispatcher drain
-//! what was accepted, then exit.
+//! runtime; the tuner never moves the lane boundary. Shutdown drops the
+//! senders; each dispatcher drains what its lane accepted, then exits.
 
 use crate::config::ServiceConfig;
 use crate::distributed::DistributedBackend;
@@ -26,7 +29,7 @@ use crate::kernel::Kernel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::PlanCache;
 use crate::supervisor::Supervisor;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Sender, TrySendError};
 use ft_bigint::BigInt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,8 +45,9 @@ struct CompletionState {
     done: bool,
 }
 
-/// One-shot result slot shared between a worker and a waiting client,
-/// resolvable either by blocking/polling or by a registered callback.
+/// One-shot result slot shared between a lane dispatcher and a waiting
+/// client, resolvable either by blocking/polling or by a registered
+/// callback.
 #[derive(Default)]
 struct Completion {
     state: Mutex<CompletionState>,
@@ -100,7 +104,7 @@ impl Drop for CompletionWaker {
 
 /// Fills `ServiceStopped` on drop unless a real result was published
 /// first, so `ResponseHandle::wait` can never hang on a lost request
-/// (worker panic, service drop mid-queue).
+/// (a panicking dispatcher, service drop mid-queue).
 pub(crate) struct CompletionGuard {
     completion: Arc<Completion>,
     fulfilled: bool,
@@ -548,7 +552,7 @@ pub(crate) struct MulRequest {
     pub(crate) done: Done,
 }
 
-/// One message on the async queue: a single request, or a whole bulk
+/// One message on a lane's queue: a single request, or a whole bulk
 /// submission travelling as one message. Carrying the batch unexploded
 /// is the submit-side half of cross-request batching — one channel lock,
 /// one timestamp, one wake-up of the dispatcher for `n` requests; the
@@ -607,7 +611,7 @@ impl Shared {
     }
 }
 
-/// The batching multiplication service. See the module docs for the
+/// The two-lane multiplication service. See the module docs for the
 /// architecture and [`ServiceConfig`] for the knobs.
 ///
 /// ```
@@ -619,8 +623,6 @@ impl Shared {
 /// let b: BigInt = "-987654321987654321".parse().unwrap();
 /// let handle = service.submit(a.clone(), b.clone()).unwrap();
 /// assert_eq!(handle.wait().unwrap(), a.mul_schoolbook(&b));
-/// let batched = service.submit_async(a.clone(), b.clone()).unwrap();
-/// assert_eq!(batched.wait().unwrap(), a.mul_schoolbook(&b));
 /// let bulk = service.submit_many(vec![(a.clone(), b.clone()); 3]).unwrap();
 /// for result in bulk.wait() {
 ///     assert_eq!(result.unwrap(), a.mul_schoolbook(&b));
@@ -629,31 +631,31 @@ impl Shared {
 /// ```
 pub struct MulService {
     shared: Arc<Shared>,
-    senders: Vec<Sender<MulRequest>>,
-    async_tx: Option<Sender<Submission>>,
-    next: AtomicUsize,
+    /// Queue senders, small lane first; emptied on shutdown, which
+    /// disconnects both dispatchers.
+    lanes: Vec<Sender<Submission>>,
     seq: AtomicU64,
     shutting_down: AtomicBool,
-    workers: Vec<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
+    dispatchers: Vec<JoinHandle<()>>,
     tuner: Option<crate::tuner::TunerHandle>,
 }
 
-/// Distinguishes worker threads across service instances in one process.
+/// Distinguishes lane threads across service instances in one process.
 static SERVICE_ID: AtomicUsize = AtomicUsize::new(0);
 
 impl MulService {
-    /// Spawn the worker pool, the coalescing dispatcher, and (when
-    /// enabled) the adaptive tuner, and start accepting requests.
+    /// Spawn both lane dispatchers and (when enabled) the adaptive tuner,
+    /// and start accepting requests.
     ///
     /// # Panics
-    /// Panics on a structurally invalid config (zero workers, zero
-    /// capacity); [`ServiceConfig::from_json`] rejects those earlier.
+    /// Panics on a zero `batching.queue_capacity`;
+    /// [`ServiceConfig::from_json`] rejects it earlier.
     #[must_use]
     pub fn start(config: ServiceConfig) -> MulService {
-        assert!(config.workers > 0, "workers must be >= 1");
-        assert!(config.queue_capacity > 0, "queue_capacity must be >= 1");
-        assert!(config.batch_max > 0, "batch_max must be >= 1");
+        assert!(
+            config.batching.queue_capacity > 0,
+            "batching.queue_capacity must be >= 1"
+        );
         // Route ft-bigint's process-wide fast-multiply hook (BigInt::pow,
         // residue checks, …) through the Toom auto-dispatcher.
         let _ = ft_toom_core::seq::install_fast_mul_hook();
@@ -682,30 +684,19 @@ impl MulService {
             shared.config.kernel_policy.par_toom_k,
         ]);
         let service_id = SERVICE_ID.fetch_add(1, Ordering::Relaxed) % 1_000;
-        let mut senders = Vec::with_capacity(shared.config.workers);
-        let mut workers = Vec::with_capacity(shared.config.workers);
-        for index in 0..shared.config.workers {
-            let (tx, rx) = bounded::<MulRequest>(shared.config.queue_capacity);
-            senders.push(tx);
-            let shared = shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    // Linux truncates thread names to 15 bytes; the old
-                    // "ft-service-worker-N" collapsed every worker to the
-                    // same truncated name. Keep it short and unique.
-                    .name(format!("ftsvc{service_id}-w{index}"))
-                    .spawn(move || worker_loop(&rx, &shared))
-                    .expect("spawn service worker"),
-            );
-        }
-        let (async_tx, async_rx) = bounded::<Submission>(shared.config.batching.queue_capacity);
-        let dispatcher = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("ftsvc{service_id}-disp"))
-                .spawn(move || crate::dispatcher::dispatcher_loop(&async_rx, &shared))
-                .expect("spawn service dispatcher")
-        };
+        let (lanes, dispatchers) = ["small", "big"]
+            .into_iter()
+            .map(|lane| {
+                let (tx, rx) = bounded::<Submission>(shared.config.batching.queue_capacity);
+                let shared = shared.clone();
+                let dispatcher = std::thread::Builder::new()
+                    // Linux truncates thread names to 15 bytes.
+                    .name(format!("ftsvc{service_id}-{lane}"))
+                    .spawn(move || crate::dispatcher::dispatcher_loop(&rx, &shared))
+                    .expect("spawn lane dispatcher");
+                (tx, dispatcher)
+            })
+            .unzip();
         let tuner = shared
             .config
             .tuner
@@ -713,23 +704,24 @@ impl MulService {
             .then(|| crate::tuner::spawn(shared.clone(), service_id));
         MulService {
             shared,
-            senders,
-            async_tx: Some(async_tx),
-            next: AtomicUsize::new(0),
+            lanes,
             seq: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
-            workers,
-            dispatcher: Some(dispatcher),
+            dispatchers,
             tuner,
         }
     }
 
-    /// Submit `a × b` with no deadline.
+    /// Submit `a × b` with no deadline. The request joins its lane's
+    /// queue, where the dispatcher may merge it with other same-shape
+    /// requests into one batch kernel invocation. Returns immediately;
+    /// resolve the handle by polling ([`ResponseHandle::try_wait`]),
+    /// blocking, or callback ([`ResponseHandle::on_ready`]).
     pub fn submit(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, Deadline::None)
+        self.submit_one(a, b, Deadline::None)
     }
 
-    /// Submit `a × b`; if a worker does not reach the request within
+    /// Submit `a × b`; if its lane does not start the request within
     /// `deadline`, it resolves to [`MulError::DeadlineExceeded`]. Huge
     /// deadlines (e.g. `Duration::MAX`) saturate to "never expires".
     pub fn submit_with_deadline(
@@ -738,89 +730,40 @@ impl MulService {
         b: BigInt,
         deadline: Duration,
     ) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, Deadline::after(deadline))
+        self.submit_one(a, b, Deadline::after(deadline))
     }
 
-    /// Submit `a × b` on the event-driven path: the request is enqueued
-    /// for the coalescing dispatcher, which may merge it with other
-    /// same-shape requests into one batch kernel invocation. Returns
-    /// immediately; resolve the handle by polling ([`ResponseHandle::
-    /// try_wait`]), blocking, or callback ([`ResponseHandle::on_ready`]).
-    pub fn submit_async(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
-        self.submit_async_inner(a, b, Deadline::None)
-    }
-
-    /// [`Self::submit_async`] with a deadline (same saturation semantics
-    /// as [`Self::submit_with_deadline`]).
-    pub fn submit_async_with_deadline(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Duration,
-    ) -> Result<ResponseHandle, SubmitError> {
-        self.submit_async_inner(a, b, Deadline::after(deadline))
-    }
-
-    fn make_request(
+    fn submit_one(
         &self,
         a: BigInt,
         b: BigInt,
         deadline: Deadline,
-    ) -> (MulRequest, Arc<Completion>) {
-        let completion = Arc::new(Completion::default());
+    ) -> Result<ResponseHandle, SubmitError> {
+        let bits = a.bit_length().max(b.bit_length());
+        let (handle, guard) = completion_pair();
         let request = MulRequest {
             a,
             b,
             index: self.seq.fetch_add(1, Ordering::Relaxed),
             deadline,
             enqueued_at: Instant::now(),
-            done: Done::Single(CompletionGuard {
-                completion: completion.clone(),
-                fulfilled: false,
-            }),
+            done: Done::Single(guard),
         };
-        (request, completion)
+        self.enqueue(bits, Submission::One(request))?;
+        Ok(handle)
     }
 
-    fn submit_async_inner(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Deadline,
-    ) -> Result<ResponseHandle, SubmitError> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let Some(tx) = self.async_tx.as_ref() else {
-            return Err(SubmitError::ShuttingDown);
-        };
-        let (request, completion) = self.make_request(a, b, deadline);
-        match tx.try_send_counted(Submission::One(request)) {
-            Ok(depth) => {
-                self.shared.metrics.observe_queue_depth(depth);
-                Ok(ResponseHandle { completion })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.metrics.record_queue_full();
-                Err(SubmitError::QueueFull {
-                    capacity: self.shared.config.batching.queue_capacity,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
-    /// Bulk async submission: enqueue `pairs` as ONE message for the
-    /// coalescing dispatcher and resolve them through one shared
+    /// Bulk submission: enqueue `pairs` as ONE message for the lane of
+    /// the largest operand and resolve them through one shared
     /// [`BatchHandle`]. This is the cross-request batching entry point —
-    /// relative to `pairs.len()` calls of [`Self::submit_async`] it pays
-    /// the channel lock, the enqueue timestamp, the completion
-    /// allocation, and the client's blocking wait once per *batch*
-    /// instead of once per request, mirroring the paper's per-batch (not
+    /// relative to `pairs.len()` calls of [`Self::submit`] it pays the
+    /// channel lock, the enqueue timestamp, the completion allocation,
+    /// and the client's blocking wait once per *batch* instead of once
+    /// per request, mirroring the paper's per-batch (not
     /// per-multiplication) bandwidth/latency accounting. Elements still
     /// gate, group, verify, and count in metrics individually.
     ///
-    /// The whole submission occupies one slot of the async queue
+    /// The whole submission occupies one slot of its lane's queue
     /// regardless of length. Results come back in submission order.
     pub fn submit_many(&self, pairs: Vec<(BigInt, BigInt)>) -> Result<BatchHandle, SubmitError> {
         self.submit_many_inner(pairs, Deadline::None)
@@ -844,21 +787,15 @@ impl MulService {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let Some(tx) = self.async_tx.as_ref() else {
-            return Err(SubmitError::ShuttingDown);
-        };
-        let completion = Arc::new(BatchCompletion::new(pairs.len()));
-        if pairs.is_empty() {
+        let (handle, slots) = batch_pair(pairs.len());
+        let Some(bits) = pairs
+            .iter()
+            .map(|(a, b)| a.bit_length().max(b.bit_length()))
+            .max()
+        else {
             // Nothing to enqueue; the handle resolves immediately.
-            return Ok(BatchHandle { completion });
-        }
-        let slots = (0..pairs.len())
-            .map(|slot| BatchSlotGuard {
-                completion: completion.clone(),
-                slot,
-                fulfilled: false,
-            })
-            .collect();
+            return Ok(handle);
+        };
         let first_index = self.seq.fetch_add(pairs.len() as u64, Ordering::Relaxed);
         let job = BatchJob {
             pairs,
@@ -867,15 +804,31 @@ impl MulService {
             enqueued_at: Instant::now(),
             slots,
         };
-        match tx.try_send_counted(Submission::Many(job)) {
+        // A rejected job's slot guards resolve the handle as
+        // ServiceStopped on drop; the caller only sees the error.
+        self.enqueue(bits, Submission::Many(job))?;
+        Ok(handle)
+    }
+
+    /// Send `submission` to the lane that owns products whose larger
+    /// operand has `bits` bits.
+    fn enqueue(&self, bits: u64, submission: Submission) -> Result<(), SubmitError> {
+        if self.shutting_down.load(Ordering::Acquire) {
+            return Err(SubmitError::ShuttingDown);
+        }
+        let lane = usize::from(bits > self.shared.config.kernel_policy.toom_threshold_bits);
+        let Some(tx) = self.lanes.get(lane) else {
+            return Err(SubmitError::ShuttingDown);
+        };
+        match tx.try_send_counted(submission) {
             Ok(depth) => {
-                self.shared.metrics.observe_queue_depth(depth);
-                Ok(BatchHandle { completion })
+                // The high-water mark tracks the backlog of both lanes.
+                let other = self.lanes.get(1 - lane).map_or(0, Sender::len);
+                self.shared.metrics.observe_queue_depth(depth + other);
+                Ok(())
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.metrics.record_queue_full();
-                // The rejected job's slot guards resolved the handle as
-                // ServiceStopped on drop; the caller only sees the error.
                 Err(SubmitError::QueueFull {
                     capacity: self.shared.config.batching.queue_capacity,
                 })
@@ -884,72 +837,21 @@ impl MulService {
         }
     }
 
-    fn submit_inner(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Deadline,
-    ) -> Result<ResponseHandle, SubmitError> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let (mut request, completion) = self.make_request(a, b, deadline);
-        let n = self.senders.len();
-        let first = self.next.fetch_add(1, Ordering::Relaxed);
-        // Round-robin with up to one full-queue failover probe. A
-        // disconnected queue means that worker died; skip it and keep
-        // probing — only report ShuttingDown when no live queue was seen.
-        let mut fulls = 0;
-        let mut disconnected = 0;
-        for offset in 0..n {
-            let sender = &self.senders[(first + offset) % n];
-            match sender.try_send_counted(request) {
-                Ok(depth) => {
-                    self.shared.metrics.observe_queue_depth(depth);
-                    return Ok(ResponseHandle { completion });
-                }
-                Err(TrySendError::Full(r)) => {
-                    request = r;
-                    fulls += 1;
-                    if fulls >= 2 {
-                        break;
-                    }
-                }
-                Err(TrySendError::Disconnected(r)) => {
-                    request = r;
-                    disconnected += 1;
-                }
-            }
-        }
-        if fulls == 0 && disconnected > 0 {
-            return Err(SubmitError::ShuttingDown);
-        }
-        self.shared.metrics.record_queue_full();
-        // Dropping `request` here resolves the handle as ServiceStopped,
-        // but the caller only sees the SubmitError.
-        Err(SubmitError::QueueFull {
-            capacity: self.shared.config.queue_capacity,
-        })
-    }
-
     /// Point-in-time metrics (counters plus current total queue depth).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let depth = self.senders.iter().map(Sender::len).sum::<usize>()
-            + self.async_tx.as_ref().map_or(0, Sender::len);
         self.shared
             .metrics
-            .snapshot(depth, self.shared.plans.stats())
+            .snapshot(self.queue_depth(), self.shared.plans.stats())
     }
 
-    /// Current total queue depth (sync worker queues plus the async
-    /// coalescing queue), without the full snapshot walk of
-    /// [`MulService::metrics`] — cheap enough for per-rejection use,
-    /// e.g. deriving an HTTP `Retry-After` from live backlog.
+    /// Current queue depth summed over both lanes, without the full
+    /// snapshot walk of [`MulService::metrics`] — cheap enough for
+    /// per-rejection use, e.g. deriving an HTTP `Retry-After` from live
+    /// backlog.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.senders.iter().map(Sender::len).sum::<usize>()
-            + self.async_tx.as_ref().map_or(0, Sender::len)
+        self.lanes.iter().map(Sender::len).sum()
     }
 
     /// The configuration the service was started with.
@@ -966,13 +868,14 @@ impl MulService {
     }
 
     /// Simulated fail-stop: refuse new submissions and resolve every
-    /// accepted-but-unstarted request as [`MulError::ServiceStopped`]
-    /// the moment a worker dequeues it. Requests already executing
-    /// complete (and verify) normally — a fail-stop processor finishes
-    /// nothing *new*, but this in-process simulation keeps its promises
-    /// resolvable so no waiter ever hangs. The worker threads stay up to
-    /// drain the surrendered queue; [`Self::shutdown`] still works
-    /// afterwards and returns the final metrics.
+    /// accepted-but-unstarted request, in either lane, as
+    /// [`MulError::ServiceStopped`] the moment its dispatcher dequeues
+    /// it. Requests already executing complete (and verify) normally — a
+    /// fail-stop processor finishes nothing *new*, but this in-process
+    /// simulation keeps its promises resolvable so no waiter ever hangs.
+    /// Both lane threads stay up to drain the surrendered queues;
+    /// [`Self::shutdown`] still works afterwards and returns the final
+    /// metrics.
     pub fn kill(&self) {
         self.shutting_down.store(true, Ordering::Release);
         self.shared.killed.store(true, Ordering::Release);
@@ -984,8 +887,8 @@ impl MulService {
         self.shared.killed.load(Ordering::Acquire)
     }
 
-    /// Stop accepting work, drain every accepted request, join the
-    /// workers, and return the final metrics.
+    /// Stop accepting work, drain every accepted request, join both
+    /// lanes, and return the final metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.stop_and_join();
         self.shared.metrics.snapshot(0, self.shared.plans.stats())
@@ -996,17 +899,11 @@ impl MulService {
         if let Some(tuner) = self.tuner.take() {
             tuner.stop();
         }
-        // Disconnect the channels; workers and dispatcher drain whatever
-        // was already accepted, then exit.
-        self.async_tx = None;
-        self.senders.clear();
-        if let Some(dispatcher) = self.dispatcher.take() {
+        // Disconnect both lanes; each dispatcher drains whatever its lane
+        // already accepted, then exits.
+        self.lanes.clear();
+        for dispatcher in self.dispatchers.drain(..) {
             let _ = dispatcher.join();
-        }
-        for handle in self.workers.drain(..) {
-            // A panicked worker already resolved its lost requests as
-            // ServiceStopped via CompletionGuard; nothing more to do.
-            let _ = handle.join();
         }
     }
 }
@@ -1051,24 +948,6 @@ pub(crate) fn resolved_handle(result: Result<BigInt, MulError>) -> ResponseHandl
     let completion = Arc::new(Completion::default());
     completion.fill(result);
     ResponseHandle { completion }
-}
-
-fn worker_loop(rx: &Receiver<MulRequest>, shared: &Shared) {
-    let mut batch = Vec::with_capacity(shared.config.batch_max);
-    // recv keeps returning queued requests after disconnect until the
-    // queue is empty, so shutdown drains everything already accepted.
-    while let Ok(first) = rx.recv() {
-        batch.push(first);
-        while batch.len() < shared.config.batch_max {
-            match rx.try_recv() {
-                Ok(request) => batch.push(request),
-                Err(_) => break,
-            }
-        }
-        for request in batch.drain(..) {
-            process(request, shared);
-        }
-    }
 }
 
 /// Apply the pre-execution admission checks: reject a request whose
@@ -1130,16 +1009,10 @@ pub(crate) fn execute_single(request: MulRequest, shared: &Shared) {
     }
 }
 
-pub(crate) fn process(request: MulRequest, shared: &Shared) {
-    if let Some(request) = gate(request, Instant::now(), shared) {
-        execute_single(request, shared);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelPolicy;
+    use crate::config::{BatchingConfig, KernelPolicy, TunerConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1147,9 +1020,9 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
-    /// Operands big enough to keep one schoolbook-only worker busy for
-    /// hundreds of milliseconds — the deterministic "blocker" for the
-    /// robustness tests below.
+    /// Schoolbook for every size, so a 400 kbit product keeps the big
+    /// lane busy for hundreds of milliseconds — the deterministic
+    /// "blocker" for the robustness tests below.
     fn blocker_policy() -> KernelPolicy {
         KernelPolicy {
             schoolbook_max_bits: u64::MAX,
@@ -1157,36 +1030,78 @@ mod tests {
         }
     }
 
+    /// An operand just past the default lane boundary: it queues in the
+    /// big lane, behind a blocker, yet multiplies in well under a
+    /// millisecond.
+    fn big_lane_operand(rng: &mut StdRng) -> BigInt {
+        BigInt::random_bits(rng, 30_000)
+    }
+
+    /// Submit a 400 kbit blocker and give the big lane time to dequeue
+    /// it and start grinding.
+    fn start_blocker(service: &MulService, rng: &mut StdRng) -> (ResponseHandle, BigInt) {
+        let big = BigInt::random_bits(rng, 400_000);
+        let want = big.mul_schoolbook(&big);
+        let handle = service
+            .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        (handle, want)
+    }
+
+    /// The head-of-line regression: a kilobit product submitted behind a
+    /// 400 kbit schoolbook product resolves while the big one is still
+    /// pending, because the two never share a queue or a thread.
+    #[test]
+    fn small_products_do_not_queue_behind_big_ones() {
+        let service = MulService::start(ServiceConfig {
+            kernel_policy: blocker_policy(),
+            ..ServiceConfig::default()
+        });
+        let mut rng = rng(9);
+        let big_a = BigInt::random_signed_bits(&mut rng, 400_000);
+        let big_b = BigInt::random_signed_bits(&mut rng, 400_000);
+        let small_a = BigInt::random_signed_bits(&mut rng, 1_000);
+        let small_b = BigInt::random_signed_bits(&mut rng, 1_000);
+        let big_want = big_a.mul_schoolbook(&big_b);
+        let small_want = small_a.mul_schoolbook(&small_b);
+        let blocker = service.submit(big_a, big_b).unwrap();
+        let small = service.submit(small_a, small_b).unwrap();
+        assert_eq!(small.wait().unwrap(), small_want);
+        let blocker = match blocker.try_wait() {
+            Err(handle) => handle,
+            Ok(r) => panic!("the small product waited for the 400 kbit one: {r:?}"),
+        };
+        assert_eq!(blocker.wait().unwrap(), big_want);
+        assert_eq!(service.shutdown().served, 2);
+    }
+
     #[test]
     fn kill_surrenders_queued_work_and_refuses_new_submits() {
-        // One worker pinned by a slow schoolbook blocker; everything
+        // The big lane is pinned by a slow schoolbook blocker; everything
         // queued behind it must resolve ServiceStopped after kill(), and
         // the blocker itself (already started) must complete normally.
         let service = MulService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
             kernel_policy: blocker_policy(),
             verify_residues: false,
             ..ServiceConfig::default()
         });
         let mut rng = rng(77);
-        let a = BigInt::random_signed_bits(&mut rng, 400_000);
-        let b = BigInt::random_signed_bits(&mut rng, 400_000);
-        let blocker = service.submit(a.clone(), b.clone()).unwrap();
-        std::thread::sleep(Duration::from_millis(30)); // let it start
+        let (blocker, want) = start_blocker(&service, &mut rng);
+        let x = big_lane_operand(&mut rng);
         let queued: Vec<_> = (0..4)
-            .map(|_| service.submit(a.clone(), b.clone()).unwrap())
+            .map(|_| service.submit(x.clone(), x.clone()).unwrap())
             .collect();
         service.kill();
         assert!(service.is_killed());
         assert!(matches!(
-            service.submit(a.clone(), b.clone()),
+            service.submit(x.clone(), x.clone()),
             Err(SubmitError::ShuttingDown)
         ));
         for handle in queued {
             assert_eq!(handle.wait(), Err(MulError::ServiceStopped));
         }
-        assert_eq!(blocker.wait().unwrap(), a.mul_schoolbook(&b));
+        assert_eq!(blocker.wait().unwrap(), want);
         let snap = service.shutdown();
         assert_eq!(snap.served, 1, "only the started request completed");
     }
@@ -1210,65 +1125,72 @@ mod tests {
         assert_eq!(metrics.served, 4);
         // Default thresholds route 100 bits → schoolbook and everything
         // else here → sequential Toom: with the limb-kernel base case the
-        // schoolbook band ends at 2 kbit, and on the single-core reference
-        // container the parallel kernel only pays at multi-megabit sizes
-        // (far beyond what a unit test should multiply).
+        // schoolbook band ends at 2 kbit, and the parallel kernel only
+        // pays at multi-megabit sizes (far beyond what a unit test
+        // should multiply).
         assert_eq!(metrics.per_kernel[0].1, 1);
         assert_eq!(metrics.per_kernel[1].1, 3);
         assert_eq!(metrics.per_kernel[2].1, 0);
     }
 
     #[test]
-    fn backpressure_rejects_when_queues_fill() {
-        let config = ServiceConfig {
-            workers: 1,
-            queue_capacity: 2,
+    fn backpressure_rejects_when_a_lane_fills() {
+        let service = MulService::start(ServiceConfig {
             kernel_policy: blocker_policy(),
+            batching: BatchingConfig {
+                queue_capacity: 2,
+                ..BatchingConfig::default()
+            },
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        });
         let mut rng = rng(11);
-        let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service.submit(big.clone(), big.clone()).unwrap();
-        let tiny = BigInt::random_bits(&mut rng, 64);
-        // While the worker grinds the blocker, its depth-2 queue can hold
-        // at most 2 of these 4; at least 2 must bounce.
+        let (blocker, want) = start_blocker(&service, &mut rng);
+        let x = big_lane_operand(&mut rng);
+        // While the big lane grinds the blocker, its depth-2 queue holds
+        // 2 of these 4; the other 2 bounce with the lane's capacity.
         let results: Vec<_> = (0..4)
-            .map(|_| service.submit(tiny.clone(), tiny.clone()))
+            .map(|_| service.submit(x.clone(), x.clone()))
             .collect();
         let rejected = results.iter().filter(|r| r.is_err()).count();
-        assert!(rejected >= 2, "expected >= 2 rejections, got {rejected}");
+        assert_eq!(rejected, 2);
         for r in &results {
             if let Err(e) = r {
                 assert_eq!(*e, SubmitError::QueueFull { capacity: 2 });
             }
         }
-        let expect_tiny = tiny.mul_schoolbook(&tiny);
+        // A whole bulk job bounces the same way…
+        assert_eq!(
+            service.submit_many(vec![(x.clone(), x.clone()); 4]).err(),
+            Some(SubmitError::QueueFull { capacity: 2 })
+        );
+        // …while the small lane still admits and serves.
+        let tiny = BigInt::random_bits(&mut rng, 64);
+        let served = service.submit(tiny.clone(), tiny.clone()).unwrap();
+        assert_eq!(served.wait().unwrap(), tiny.mul_schoolbook(&tiny));
+        assert_eq!(service.queue_depth(), 2, "depth sums both lanes");
+        let expect = x.mul_schoolbook(&x);
         for handle in results.into_iter().flatten() {
-            assert_eq!(handle.wait().unwrap(), expect_tiny);
+            assert_eq!(handle.wait().unwrap(), expect);
         }
-        assert_eq!(blocker.wait().unwrap(), big.mul_schoolbook(&big));
+        assert_eq!(blocker.wait().unwrap(), want);
         let metrics = service.shutdown();
-        assert!(metrics.rejected_queue_full >= 2);
-        assert!(metrics.queue_depth_high_water >= 1);
+        assert_eq!(metrics.rejected_queue_full, 3);
+        // The tiny request joined an empty small lane beside a full big
+        // lane: the high-water mark counts both.
+        assert_eq!(metrics.queue_depth_high_water, 3);
     }
 
     #[test]
     fn deadline_in_queue_times_out() {
-        let config = ServiceConfig {
-            workers: 1,
+        let service = MulService::start(ServiceConfig {
             kernel_policy: blocker_policy(),
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        });
         let mut rng = rng(12);
-        let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service
-            .submit(big, BigInt::random_bits(&mut rng, 400_000))
-            .unwrap();
-        let tiny = BigInt::random_bits(&mut rng, 64);
+        let (blocker, _) = start_blocker(&service, &mut rng);
+        let x = big_lane_operand(&mut rng);
         let doomed = service
-            .submit_with_deadline(tiny.clone(), tiny, Duration::from_millis(1))
+            .submit_with_deadline(x.clone(), x, Duration::from_millis(1))
             .unwrap();
         match doomed.wait() {
             Err(MulError::DeadlineExceeded { waited }) => {
@@ -1280,10 +1202,8 @@ mod tests {
         assert_eq!(service.shutdown().timed_out, 1);
     }
 
-    /// Satellite regression: `submit_with_deadline(Duration::MAX)` used to
-    /// compute `Instant::now() + deadline` unchecked and panic; it must
-    /// saturate to a never-expiring deadline instead, on both submit
-    /// paths.
+    /// `submit_with_deadline(Duration::MAX)` must saturate to a
+    /// never-expiring deadline instead of overflowing `Instant`.
     #[test]
     fn huge_deadlines_saturate_instead_of_panicking() {
         let service = MulService::start(ServiceConfig::default());
@@ -1291,66 +1211,53 @@ mod tests {
         let a = BigInt::random_signed_bits(&mut rng, 600);
         let b = BigInt::random_signed_bits(&mut rng, 600);
         let want = a.mul_schoolbook(&b);
-        let sync = service
-            .submit_with_deadline(a.clone(), b.clone(), Duration::MAX)
-            .unwrap();
-        assert_eq!(sync.wait().unwrap(), want);
-        let huge = Duration::MAX - Duration::from_nanos(1);
-        let asynced = service
-            .submit_async_with_deadline(a.clone(), b.clone(), huge)
-            .unwrap();
-        assert_eq!(asynced.wait().unwrap(), want);
+        for huge in [Duration::MAX, Duration::MAX - Duration::from_nanos(1)] {
+            let handle = service
+                .submit_with_deadline(a.clone(), b.clone(), huge)
+                .unwrap();
+            assert_eq!(handle.wait().unwrap(), want);
+        }
         let metrics = service.shutdown();
         assert_eq!(metrics.served, 2);
         assert_eq!(metrics.timed_out, 0, "a Far deadline never expires");
     }
 
-    /// Satellite regression: a saturated (`Far`) deadline is still a
-    /// deadline — shedding must not touch it.
+    /// A saturated (`Far`) deadline is still a deadline — shedding must
+    /// not touch it.
     #[test]
     fn far_deadline_is_not_sheddable() {
-        let config = ServiceConfig {
-            workers: 1,
+        let service = MulService::start(ServiceConfig {
             shed_after_ms: Some(0),
             kernel_policy: blocker_policy(),
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        });
         let mut rng = rng(18);
-        let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service
-            .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
-            .unwrap();
-        let tiny = BigInt::random_bits(&mut rng, 64);
+        let (blocker, _) = start_blocker(&service, &mut rng);
+        let x = big_lane_operand(&mut rng);
         // Queued behind the blocker with shed_after_ms = 0: a deadline-less
         // request would be shed, but Duration::MAX saturates to Far which
         // still counts as deadline-carrying.
         let kept = service
-            .submit_with_deadline(tiny.clone(), tiny.clone(), Duration::MAX)
+            .submit_with_deadline(x.clone(), x.clone(), Duration::MAX)
             .unwrap();
-        assert_eq!(kept.wait().unwrap(), tiny.mul_schoolbook(&tiny));
+        assert_eq!(kept.wait().unwrap(), x.mul_schoolbook(&x));
         assert!(blocker.wait().is_ok());
         assert_eq!(service.shutdown().shed, 0);
     }
 
     #[test]
     fn overaged_requests_are_shed() {
-        let config = ServiceConfig {
-            workers: 1,
+        let service = MulService::start(ServiceConfig {
             shed_after_ms: Some(0),
             kernel_policy: blocker_policy(),
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        });
         let mut rng = rng(13);
-        let big = BigInt::random_bits(&mut rng, 400_000);
         // The blocker carries a generous deadline so shedding (which only
         // applies to deadline-less requests) cannot touch it.
-        let blocker = service
-            .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
-            .unwrap();
-        let tiny = BigInt::random_bits(&mut rng, 64);
-        let shed = service.submit(tiny.clone(), tiny).unwrap();
+        let (blocker, _) = start_blocker(&service, &mut rng);
+        let x = big_lane_operand(&mut rng);
+        let shed = service.submit(x.clone(), x).unwrap();
         match shed.wait() {
             Err(MulError::Shed { .. }) => {}
             other => panic!("expected Shed, got {other:?}"),
@@ -1363,10 +1270,13 @@ mod tests {
     fn shutdown_drains_accepted_requests() {
         let service = MulService::start(ServiceConfig::default());
         let mut rng = rng(14);
-        let handles: Vec<_> = (0..16)
-            .map(|_| {
-                let a = BigInt::random_signed_bits(&mut rng, 2_000);
-                let b = BigInt::random_signed_bits(&mut rng, 2_000);
+        let handles: Vec<_> = [2_000u64, 40_000]
+            .into_iter()
+            .cycle()
+            .take(16)
+            .map(|bits| {
+                let a = BigInt::random_signed_bits(&mut rng, bits);
+                let b = BigInt::random_signed_bits(&mut rng, bits);
                 let want = a.mul_schoolbook(&b);
                 (service.submit(a, b).unwrap(), want)
             })
@@ -1380,16 +1290,15 @@ mod tests {
 
     #[test]
     fn wait_timeout_returns_the_handle_then_the_result() {
-        let config = ServiceConfig {
-            workers: 1,
+        let service = MulService::start(ServiceConfig {
             kernel_policy: blocker_policy(),
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        });
         let mut rng = rng(15);
         let big = BigInt::random_bits(&mut rng, 400_000);
         let handle = service.submit(big.clone(), big.clone()).unwrap();
-        // The worker is still grinding: the timeout hands the handle back.
+        // The big lane is still grinding: the timeout hands the handle
+        // back.
         let handle = match handle.wait_timeout(Duration::from_millis(1)) {
             Err(handle) => handle,
             Ok(r) => panic!("400kbit product finished in 1 ms: {r:?}"),
@@ -1403,52 +1312,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_does_not_break_submission_or_shutdown() {
-        crate::chaos::install_quiet_panic_hook();
-        // Two workers; requests 0 and 1 panic with escalation enabled, so
-        // whichever workers execute them die mid-request.
-        let config = ServiceConfig {
-            workers: 2,
-            kernel_policy: blocker_policy(),
-            chaos: Some(crate::chaos::ChaosConfig {
-                escalate_panics: true,
-                force: vec![
-                    (0, crate::chaos::FaultKind::Panic),
-                    (1, crate::chaos::FaultKind::Panic),
-                ],
-                ..crate::chaos::ChaosConfig::default()
-            }),
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(16);
-        let x = BigInt::random_bits(&mut rng, 500);
-        let doomed_a = service.submit(x.clone(), x.clone()).unwrap();
-        let doomed_b = service.submit(x.clone(), x.clone()).unwrap();
-        // The killed requests resolve (ServiceStopped via the completion
-        // guard) instead of hanging.
-        assert_eq!(doomed_a.wait(), Err(MulError::ServiceStopped));
-        assert_eq!(doomed_b.wait(), Err(MulError::ServiceStopped));
-        // Give the dying threads a beat to drop their receivers, then
-        // confirm submission fails over past dead queues: with every
-        // worker dead, submits report ShuttingDown rather than panicking
-        // or hanging, and shutdown still joins cleanly.
-        std::thread::sleep(Duration::from_millis(100));
-        let expect = x.mul_schoolbook(&x);
-        for _ in 0..4 {
-            match service.submit(x.clone(), x.clone()) {
-                Ok(handle) => match handle.wait() {
-                    Ok(product) => assert_eq!(product, expect),
-                    Err(MulError::ServiceStopped) => {}
-                    Err(other) => panic!("unexpected error {other:?}"),
-                },
-                Err(SubmitError::ShuttingDown | SubmitError::QueueFull { .. }) => {}
-            }
-        }
-        service.shutdown(); // must not hang on the dead workers
-    }
-
-    #[test]
     fn submit_after_shutdown_flag_is_rejected() {
         let service = MulService::start(ServiceConfig::default());
         service.shutting_down.store(true, Ordering::Release);
@@ -1458,24 +1321,24 @@ mod tests {
             Err(SubmitError::ShuttingDown)
         ));
         assert!(matches!(
-            service.submit_async(one.clone(), one),
+            service.submit_many(vec![(one.clone(), one)]),
             Err(SubmitError::ShuttingDown)
         ));
     }
 
     #[test]
-    fn async_requests_resolve_and_coalesce() {
+    fn requests_resolve_and_coalesce() {
         let config = ServiceConfig {
             // A generous window so quickly-submitted requests coalesce
             // deterministically into few batches.
-            batching: crate::config::BatchingConfig {
+            batching: BatchingConfig {
                 window_us: 50_000,
                 max_batch: 8,
-                ..crate::config::BatchingConfig::default()
+                ..BatchingConfig::default()
             },
-            tuner: crate::config::TunerConfig {
+            tuner: TunerConfig {
                 enabled: false,
-                ..crate::config::TunerConfig::default()
+                ..TunerConfig::default()
             },
             ..ServiceConfig::default()
         };
@@ -1487,7 +1350,7 @@ mod tests {
             let a = BigInt::random_signed_bits(&mut rng, 4_000);
             let b = BigInt::random_signed_bits(&mut rng, 4_000);
             let want = a.mul_schoolbook(&b);
-            handles.push((service.submit_async(a, b).unwrap(), want));
+            handles.push((service.submit(a, b).unwrap(), want));
         }
         for (handle, want) in handles {
             assert_eq!(handle.wait().unwrap(), want);
@@ -1504,20 +1367,25 @@ mod tests {
     }
 
     #[test]
-    fn mixed_shapes_still_resolve_correctly_async() {
+    fn mixed_shapes_resolve_correctly_in_both_lanes() {
         let service = MulService::start(ServiceConfig::default());
         let mut rng = rng(20);
         let mut handles = Vec::new();
-        for bits in [100u64, 700, 3_000, 3_100, 20_000, 100, 20_500, 64] {
+        for bits in [100u64, 700, 3_000, 30_000, 20_000, 100, 40_000, 64] {
             let a = BigInt::random_signed_bits(&mut rng, bits);
             let b = BigInt::random_signed_bits(&mut rng, bits);
             let want = a.mul_schoolbook(&b);
-            handles.push((service.submit_async(a, b).unwrap(), want));
+            handles.push((service.submit(a, b).unwrap(), want));
         }
+        // One unbalanced pair: the larger operand picks the big lane.
+        let a = BigInt::random_signed_bits(&mut rng, 64);
+        let b = BigInt::random_signed_bits(&mut rng, 50_000);
+        let want = a.mul_schoolbook(&b);
+        handles.push((service.submit(a, b).unwrap(), want));
         for (handle, want) in handles {
             assert_eq!(handle.wait().unwrap(), want);
         }
-        assert_eq!(service.shutdown().served, 8);
+        assert_eq!(service.shutdown().served, 9);
     }
 
     #[test]
@@ -1529,7 +1397,7 @@ mod tests {
         let want = a.mul_schoolbook(&b);
         let (tx, rx) = std::sync::mpsc::channel();
         service
-            .submit_async(a, b)
+            .submit(a, b)
             .unwrap()
             .on_ready(move |result| tx.send(result).unwrap());
         let got = rx.recv_timeout(Duration::from_secs(60)).unwrap();
@@ -1553,22 +1421,20 @@ mod tests {
 
     #[test]
     fn on_ready_reports_service_stopped_for_dropped_requests() {
-        let config = ServiceConfig {
-            workers: 1,
+        let service = MulService::start(ServiceConfig {
             kernel_policy: blocker_policy(),
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        });
         let mut rng = rng(22);
         let big = BigInt::random_bits(&mut rng, 300_000);
         let blocker = service.submit(big.clone(), big).unwrap();
-        let tiny = BigInt::random_bits(&mut rng, 64);
+        let x = big_lane_operand(&mut rng);
         let (tx, rx) = std::sync::mpsc::channel();
         service
-            .submit_async(tiny.clone(), tiny)
+            .submit(x.clone(), x)
             .unwrap()
             .on_ready(move |result| tx.send(result).unwrap());
-        // Shutdown drains the async queue, so the callback fires with the
+        // Shutdown drains the big lane, so the callback fires with the
         // real product (or ServiceStopped if the dispatcher lost it —
         // either way it *fires*).
         drop(blocker);
@@ -1577,16 +1443,13 @@ mod tests {
         assert!(matches!(got, Ok(_) | Err(MulError::ServiceStopped)));
     }
 
-    /// Satellite (e): a request whose deadline expires while it sits in
-    /// the queue behind a chaos-injected straggler must resolve as
-    /// `DeadlineExceeded` and count in `timed_out` — never in `served`.
-    /// Deterministic: one worker, the straggler is forced on request 0.
+    /// A request whose deadline expires while it sits in the queue behind
+    /// a chaos-injected straggler must resolve as `DeadlineExceeded` and
+    /// count in `timed_out` — never in `served`.
     #[test]
     fn deadline_expiring_behind_straggler_counts_timed_out() {
         crate::chaos::install_quiet_panic_hook();
         let config = ServiceConfig {
-            workers: 1,
-            // Straggle request 0 for 80 ms on its first attempt.
             chaos: Some(crate::chaos::ChaosConfig {
                 straggle_ms: 80,
                 force: vec![(0, crate::chaos::FaultKind::Straggle)],
@@ -1595,12 +1458,11 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = MulService::start(config);
-        let mut rng = rng(23);
+        let mut rng = rng(24);
         let x = BigInt::random_bits(&mut rng, 500);
         let straggler = service.submit(x.clone(), x.clone()).unwrap();
-        // Queued behind the straggler with a 5 ms deadline: it expires
-        // while request 0 sleeps, after this request was already accepted
-        // (and possibly already dequeued into the worker's batch).
+        // Let the dispatcher pick up the straggler batch first.
+        std::thread::sleep(Duration::from_millis(10));
         let doomed = service
             .submit_with_deadline(x.clone(), x.clone(), Duration::from_millis(5))
             .unwrap();
@@ -1614,38 +1476,6 @@ mod tests {
         let metrics = service.shutdown();
         assert_eq!(metrics.timed_out, 1);
         assert_eq!(metrics.served, 1, "the doomed request must not serve");
-    }
-
-    /// Same race on the async path: the deadline expires inside the
-    /// dispatcher's coalescing window / behind a straggling batch.
-    #[test]
-    fn async_deadline_expiring_in_queue_counts_timed_out() {
-        crate::chaos::install_quiet_panic_hook();
-        let config = ServiceConfig {
-            chaos: Some(crate::chaos::ChaosConfig {
-                straggle_ms: 80,
-                force: vec![(0, crate::chaos::FaultKind::Straggle)],
-                ..crate::chaos::ChaosConfig::default()
-            }),
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(24);
-        let x = BigInt::random_bits(&mut rng, 500);
-        let straggler = service.submit_async(x.clone(), x.clone()).unwrap();
-        // Let the dispatcher pick up the straggler batch first.
-        std::thread::sleep(Duration::from_millis(10));
-        let doomed = service
-            .submit_async_with_deadline(x.clone(), x.clone(), Duration::from_millis(5))
-            .unwrap();
-        assert!(straggler.wait().is_ok());
-        match doomed.wait() {
-            Err(MulError::DeadlineExceeded { .. }) => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        let metrics = service.shutdown();
-        assert_eq!(metrics.timed_out, 1);
-        assert_eq!(metrics.served, 1);
     }
 
     #[test]
@@ -1700,7 +1530,7 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(27);
         let x = BigInt::random_bits(&mut rng, 500);
-        let straggler = service.submit_async(x.clone(), x.clone()).unwrap();
+        let straggler = service.submit(x.clone(), x.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let doomed = service
             .submit_many_with_deadline(
@@ -1796,85 +1626,6 @@ mod tests {
             yielded += 1;
         }
         assert_eq!(yielded, 4);
-        service.shutdown();
-    }
-
-    #[test]
-    fn submit_many_queue_full_reports_and_resolves() {
-        let config = ServiceConfig {
-            kernel_policy: blocker_policy(),
-            batching: crate::config::BatchingConfig {
-                queue_capacity: 1,
-                ..crate::config::BatchingConfig::default()
-            },
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(29);
-        let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service.submit_async(big.clone(), big.clone()).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        let tiny = BigInt::random_bits(&mut rng, 64);
-        // Capacity-1 queue with the dispatcher busy: the first bulk job
-        // parks in the queue, further ones bounce whole.
-        let mut rejected = 0;
-        let mut accepted = Vec::new();
-        for _ in 0..3 {
-            match service.submit_many(vec![(tiny.clone(), tiny.clone()); 4]) {
-                Ok(handle) => accepted.push(handle),
-                Err(e) => {
-                    assert_eq!(e, SubmitError::QueueFull { capacity: 1 });
-                    rejected += 1;
-                }
-            }
-        }
-        assert!(rejected >= 1, "expected at least one QueueFull");
-        assert_eq!(blocker.wait().unwrap(), big.mul_schoolbook(&big));
-        let expect = tiny.mul_schoolbook(&tiny);
-        for handle in accepted {
-            for result in handle.wait() {
-                assert_eq!(result.unwrap(), expect);
-            }
-        }
-        service.shutdown();
-    }
-
-    #[test]
-    fn async_backpressure_reports_queue_full() {
-        let config = ServiceConfig {
-            kernel_policy: blocker_policy(),
-            batching: crate::config::BatchingConfig {
-                queue_capacity: 1,
-                ..crate::config::BatchingConfig::default()
-            },
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(25);
-        let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service.submit_async(big.clone(), big.clone()).unwrap();
-        // Let the dispatcher dequeue the blocker and start grinding.
-        std::thread::sleep(Duration::from_millis(50));
-        let tiny = BigInt::random_bits(&mut rng, 64);
-        // Capacity-1 queue: the first submission parks, further ones
-        // bounce with the async queue's capacity in the error.
-        let mut rejected = 0;
-        let mut accepted = Vec::new();
-        for _ in 0..3 {
-            match service.submit_async(tiny.clone(), tiny.clone()) {
-                Ok(handle) => accepted.push(handle),
-                Err(e) => {
-                    assert_eq!(e, SubmitError::QueueFull { capacity: 1 });
-                    rejected += 1;
-                }
-            }
-        }
-        assert!(rejected >= 1, "expected at least one QueueFull");
-        assert_eq!(blocker.wait().unwrap(), big.mul_schoolbook(&big));
-        let expect = tiny.mul_schoolbook(&tiny);
-        for handle in accepted {
-            assert_eq!(handle.wait().unwrap(), expect);
-        }
         service.shutdown();
     }
 }

@@ -125,7 +125,8 @@ impl Shard {
         state.frozen.is_some() && state.until.is_none()
     }
 
-    /// Submit one multiplication on the shard's coalescing async path.
+    /// Submit one multiplication to the shard's service, which queues it
+    /// in the lane its operand sizes pick.
     pub fn submit(
         &self,
         a: BigInt,
@@ -135,14 +136,14 @@ impl Shard {
         match self.service.read().as_ref() {
             None => Err(SubmitError::ShuttingDown),
             Some(service) => match deadline {
-                None => service.submit_async(a, b),
-                Some(d) => service.submit_async_with_deadline(a, b, d),
+                None => service.submit(a, b),
+                Some(d) => service.submit_with_deadline(a, b, d),
             },
         }
     }
 
-    /// Current queue depth (saturated = at or past the async queue
-    /// capacity).
+    /// Current queue depth, summed over the service's two lanes
+    /// (`usize::MAX` once the shard has shut down).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         self.service
@@ -185,7 +186,6 @@ mod tests {
 
     fn tiny_config() -> ServiceConfig {
         ServiceConfig {
-            workers: 1,
             verify_residues: false,
             ..ServiceConfig::default()
         }

@@ -23,7 +23,7 @@ use crate::metrics::Metrics;
 use crate::plan_cache::PlanCache;
 use crate::verify::VerifyPolicy;
 use ft_bigint::BigInt;
-use ft_toom_core::{rayon_engine, residue, seq, ToomPlan};
+use ft_toom_core::{residue, seq, ToomPlan};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -471,7 +471,6 @@ impl Supervisor {
     ///
     /// Returns per-element results in input order. `requests[i]` is the
     /// submission index of `pairs[i]` (seeds chaos and backoff).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_batch(
         &self,
         pairs: &[(BigInt, BigInt)],
@@ -480,7 +479,6 @@ impl Supervisor {
         policy: &crate::config::KernelPolicy,
         plans: &PlanCache,
         metrics: &Metrics,
-        lanes: usize,
     ) -> Vec<Result<(BigInt, Kernel), MulError>> {
         debug_assert_eq!(pairs.len(), requests.len());
         let kernel = self.effective_kernel(selected, Instant::now());
@@ -501,7 +499,7 @@ impl Supervisor {
                 1,
             )
         };
-        match self.attempt_batch(pairs, requests, kernel, policy, plans, metrics, lanes) {
+        match self.attempt_batch(pairs, requests, kernel, policy, plans, metrics) {
             Ok((products, recovered)) => {
                 // Sound elements resolve from the batch; elements whose
                 // residue check failed inside the attempt retry alone. A
@@ -538,18 +536,13 @@ impl Supervisor {
     /// one the ladder rejected — plus a flag for whether any element was
     /// served from a ladder recovery; or `Err(())` when the attempt
     /// panicked.
-    /// Injected panics are never escalated here — the dispatcher thread
-    /// must survive; the escalation path stays on the per-worker
-    /// individual attempts.
     ///
-    /// On a single lane the verification is *fused*: each product is
-    /// checked right after its multiplication, while operands and product
-    /// are still cache-hot. A batch big enough to overflow L1 would
-    /// otherwise pay a second cold pass over every element — measured as
-    /// the difference between the batch path losing to and beating the
-    /// per-request baseline. Multi-lane batches verify after the lanes
-    /// join, where each lane's chunk re-walk is the price of parallelism.
-    #[allow(clippy::too_many_arguments)]
+    /// Verification is *fused*: each product is checked right after its
+    /// multiplication, on the calling lane thread, while operands and
+    /// product are still cache-hot. A batch big enough to overflow L1
+    /// would otherwise pay a second cold pass over every element —
+    /// measured as the difference between the batch path losing to and
+    /// beating the per-request baseline.
     fn attempt_batch(
         &self,
         pairs: &[(BigInt, BigInt)],
@@ -558,7 +551,6 @@ impl Supervisor {
         policy: &crate::config::KernelPolicy,
         plans: &PlanCache,
         metrics: &Metrics,
-        lanes: usize,
     ) -> Result<(Vec<Option<BigInt>>, bool), ()> {
         let faults: Vec<Option<FaultKind>> = requests
             .iter()
@@ -611,31 +603,21 @@ impl Supervisor {
                     Err(()) => None,
                 }
             };
+            let mut out = Vec::with_capacity(pairs.len());
             if let Some(backend) = self.backend_for(kernel) {
                 // Every element of a promoted batch runs on the coded
-                // machine; verification stays fused per element. An
-                // unrecoverable element panics the whole batch attempt —
-                // its batch-mates re-run on the individual path, exactly
-                // like a local hard batch fault.
-                let mut out = Vec::with_capacity(pairs.len());
+                // machine. An unrecoverable element panics the whole
+                // batch attempt — its batch-mates re-run on the individual
+                // path, exactly like a local hard batch fault.
                 for (i, (a, b)) in pairs.iter().enumerate() {
                     out.push(check(i, backend.multiply(a, b, requests[i], 0, metrics)));
                 }
-                out
-            } else if rayon_engine::effective_lanes(lanes, pairs.len()) <= 1 {
-                let mut out = Vec::with_capacity(pairs.len());
+            } else {
                 kernel.execute_each(pairs, policy, plans, |i, product| {
                     out.push(check(i, product));
                 });
-                out
-            } else {
-                kernel
-                    .execute_batch(pairs, policy, plans, lanes)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, product)| check(i, product))
-                    .collect()
             }
+            out
         }))
         .map(|products| (products, recovered.into_inner()))
         .map_err(|_| ())
@@ -694,27 +676,9 @@ impl Supervisor {
             Ok(product) => self
                 .verify_ladder(a, b, product, request, kernel, policy, plans, metrics)
                 .map_err(|()| AttemptFailure::BadProduct),
-            Err(payload) => {
-                let escalate = self.chaos.as_ref().is_some_and(|c| c.escalate_panics)
-                    && payload_is_injected(payload.as_ref());
-                if escalate {
-                    // Re-raise outside the supervisor: the worker thread
-                    // dies, exercising the dead-worker recovery paths.
-                    panic::resume_unwind(payload);
-                }
-                Err(AttemptFailure::Panicked)
-            }
+            Err(_) => Err(AttemptFailure::Panicked),
         }
     }
-}
-
-fn payload_is_injected(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload
-        .downcast_ref::<String>()
-        .is_some_and(|s| s.contains(INJECTED_PANIC_MSG))
-        || payload
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains(INJECTED_PANIC_MSG))
 }
 
 #[cfg(test)]
@@ -1166,7 +1130,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             assert_eq!(result.unwrap().0, a.mul_schoolbook(b));
@@ -1205,7 +1168,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             let (product, kernel) = result.unwrap();
@@ -1236,7 +1198,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             assert_eq!(result.unwrap().0, a.mul_schoolbook(b));
@@ -1254,9 +1215,6 @@ mod tests {
         install_quiet_panic_hook();
         let chaos = ChaosConfig {
             force: vec![(1, FaultKind::Panic)],
-            // Escalation must be ignored on the batch path: the
-            // dispatcher thread has to survive the injected panic.
-            escalate_panics: true,
             ..ChaosConfig::default()
         };
         let sup = supervisor_with(Some(chaos), true);
@@ -1269,7 +1227,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             assert_eq!(
@@ -1308,7 +1265,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for result in results {
             let (_, kernel) = result.unwrap();

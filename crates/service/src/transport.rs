@@ -5,8 +5,8 @@
 //! Two implementations ship:
 //!
 //! * [`ChannelTransport`] — the in-process backend: each shard is a full
-//!   [`crate::MulService`] (bounded queues, batching workers, coalescing
-//!   dispatcher) wrapped with a service-level heartbeat
+//!   [`crate::MulService`] (a small and a big lane, each a bounded queue
+//!   and a coalescing dispatcher) wrapped with a service-level heartbeat
 //!   ([`crate::shard::Shard`]). Submissions resolve asynchronously
 //!   through [`ResponseHandle`]s.
 //! * [`MachineTransport`] — the simulated coded machine of

@@ -15,8 +15,8 @@
 use ft_bigint::BigInt;
 use ft_service::chaos::FaultKind;
 use ft_service::{
-    install_quiet_panic_hook, BreakerPolicy, ChaosConfig, CorruptionKind, KernelPolicy, MulService,
-    RetryPolicy, ServiceConfig, SubmitError, VerifyPolicy,
+    install_quiet_panic_hook, BatchingConfig, BreakerPolicy, ChaosConfig, CorruptionKind,
+    KernelPolicy, MulService, RetryPolicy, ServiceConfig, SubmitError, VerifyPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,6 +31,18 @@ fn submit_with_backoff(service: &MulService, a: BigInt, b: BigInt) -> ft_service
             Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
             Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
         }
+    }
+}
+
+/// One request per dispatcher round, so every request takes the
+/// per-request supervised path and each drawn fault reaches the
+/// supervisor on its own. (In a coalesced batch, an injected panic fails
+/// the whole attempt before any product exists, masking its batch-mates'
+/// corruption draws; `batched_chaos_run_survives` covers that path.)
+fn per_request() -> BatchingConfig {
+    BatchingConfig {
+        max_batch: 1,
+        ..BatchingConfig::default()
     }
 }
 
@@ -89,8 +101,8 @@ fn five_hundred_request_chaos_run_survives() {
     install_quiet_panic_hook();
     let seed = chaos_seed();
     let config = ServiceConfig {
-        workers: 4,
         kernel_policy: mixed_kernel_policy(),
+        batching: per_request(),
         verify_residues: true,
         verify: verify_policy(),
         chaos: Some(chaos_config(seed)),
@@ -176,7 +188,7 @@ fn ntt_chaos_run_survives() {
     install_quiet_panic_hook();
     let seed = chaos_seed();
     let config = ServiceConfig {
-        workers: 4,
+        batching: per_request(),
         kernel_policy: KernelPolicy {
             schoolbook_max_bits: 2_000,
             seq_toom_max_bits: 8_000,
@@ -253,23 +265,8 @@ fn ntt_chaos_run_survives() {
     }
 }
 
-/// Async-path analogue of [`submit_with_backoff`].
-fn submit_async_with_backoff(
-    service: &MulService,
-    a: BigInt,
-    b: BigInt,
-) -> ft_service::ResponseHandle {
-    loop {
-        match service.submit_async(a.clone(), b.clone()) {
-            Ok(handle) => return handle,
-            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
-            Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
-        }
-    }
-}
-
-/// The batched acceptance run: the same fault plan pushed through
-/// `submit_async`, where the dispatcher coalesces same-class requests
+/// The batched acceptance run: the same fault plan with a wide
+/// coalescing window, where the dispatcher merges same-class requests
 /// into single supervised batches. A fault injected into one batch
 /// element must never fail an uninjured neighbour — every request still
 /// resolves to a verified-correct product.
@@ -278,7 +275,6 @@ fn batched_chaos_run_survives() {
     install_quiet_panic_hook();
     let seed = chaos_seed();
     let config = ServiceConfig {
-        workers: 2,
         kernel_policy: mixed_kernel_policy(),
         verify_residues: true,
         verify: verify_policy(),
@@ -292,12 +288,12 @@ fn batched_chaos_run_survives() {
             failure_threshold: 1,
             open_ms: 20,
         },
-        batching: ft_service::BatchingConfig {
+        batching: BatchingConfig {
             // A generous window so a single fast submitter reliably lands
             // companions in each round.
             window_us: 20_000,
             max_batch: 16,
-            ..ft_service::BatchingConfig::default()
+            ..BatchingConfig::default()
         },
         tuner: ft_service::TunerConfig {
             enabled: false,
@@ -319,7 +315,7 @@ fn batched_chaos_run_survives() {
         .collect();
     let mut pending = Vec::new();
     for (a, b, expect) in workload {
-        pending.push((submit_async_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&service, a, b), expect));
     }
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
         match handle.wait_timeout(Duration::from_secs(300)) {
@@ -365,8 +361,8 @@ fn chaos_runs_are_reproducible_for_a_seed() {
     install_quiet_panic_hook();
     let run = |seed: u64| {
         let config = ServiceConfig {
-            workers: 2,
             kernel_policy: mixed_kernel_policy(),
+            batching: per_request(),
             verify: verify_policy(),
             chaos: Some(chaos_config(seed)),
             breaker: BreakerPolicy {
@@ -395,7 +391,7 @@ fn chaos_runs_are_reproducible_for_a_seed() {
     let second = run(seed);
     // Fault decisions depend only on (seed, request index, attempt), so
     // the injected-fault tally is identical across runs regardless of
-    // worker scheduling.
+    // thread scheduling.
     assert_eq!(first.injected_faults, second.injected_faults);
     assert_eq!(
         first.verification_failures, second.verification_failures,

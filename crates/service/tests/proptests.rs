@@ -1,8 +1,9 @@
-//! Property tests: whatever the batch size, kernel policy, or submitter
-//! concurrency, every product the service returns equals schoolbook.
+//! Property tests: whatever the batch bound, coalescing window, lane
+//! boundary, kernel policy, or submitter concurrency, every product the
+//! service returns equals schoolbook.
 
 use ft_bigint::BigInt;
-use ft_service::{KernelPolicy, MulService, ServiceConfig};
+use ft_service::{BatchingConfig, KernelPolicy, MulService, ServiceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -18,20 +19,26 @@ proptest! {
     #[test]
     fn results_equal_schoolbook_across_policies(
         seed in any::<u64>(),
-        workers in 1usize..5,
-        batch_max in 1usize..24,
+        max_batch in 1usize..24,
+        window_us in 0u64..300,
         queue_capacity in 8usize..64,
         schoolbook_max_bits in 256u64..4_096,
         seq_span in 4_096u64..24_576,
+        toom_threshold_bits in 4_096u64..32_768,
         requests in 4usize..24,
     ) {
         let config = ServiceConfig {
-            workers,
-            batch_max,
-            queue_capacity,
+            batching: BatchingConfig {
+                window_us,
+                max_batch,
+                queue_capacity,
+            },
             kernel_policy: KernelPolicy {
                 schoolbook_max_bits,
                 seq_toom_max_bits: schoolbook_max_bits + seq_span,
+                // Also the lane boundary: the 1..30 kbit operands below
+                // land in both lanes.
+                toom_threshold_bits,
                 ..KernelPolicy::default()
             },
             ..ServiceConfig::default()
@@ -43,9 +50,9 @@ proptest! {
             let a = random_operand(&mut rng, 30_000);
             let b = random_operand(&mut rng, 30_000);
             let want = a.mul_schoolbook(&b);
-            // Capacity 8+ per worker and bounded request count: submission
+            // Capacity 8+ per lane and bounded request count: submission
             // may still hit backpressure under a slow scheduler, so retry
-            // through the blocking path rather than assert acceptance.
+            // rather than assert acceptance.
             let handle = loop {
                 match service.submit(a.clone(), b.clone()) {
                     Ok(h) => break h,
@@ -72,7 +79,6 @@ proptest! {
         per_thread in 2usize..10,
     ) {
         let config = ServiceConfig {
-            workers: 2,
             kernel_policy: KernelPolicy {
                 // Mixed 1..8000-bit operands straddle both thresholds.
                 schoolbook_max_bits: 1_000,

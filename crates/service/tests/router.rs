@@ -1,17 +1,23 @@
 //! Sharded-topology tests: rendezvous placement properties, shard death
 //! detected by heartbeat and survived by failover, cross-shard work
-//! stealing, saturation shedding, and stall → rejoin.
+//! stealing, saturation shedding, stall → rejoin, and request
+//! conservation under random shard kills and stalls.
 
 use ft_bigint::BigInt;
 use ft_service::router::{placement_key, rendezvous_owner, rendezvous_weight, Router, ShardState};
-use ft_service::{ChaosConfig, FaultKind, KernelPolicy, ServiceConfig, ShardConfig, SubmitError};
+use ft_service::{
+    BatchingConfig, ChaosConfig, FaultKind, KernelPolicy, MulError, ServiceConfig, ShardConfig,
+    SubmitError,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// All-schoolbook policy: placement then depends only on the size class,
-/// and worker time is predictable for blocker-style tests.
+/// and lane time is predictable for blocker-style tests.
 fn schoolbook_only() -> KernelPolicy {
     KernelPolicy {
         schoolbook_max_bits: 1 << 40,
@@ -97,9 +103,7 @@ fn shard_death_is_detected_and_survived_by_failover() {
     let router = Router::start(topology(
         3,
         ServiceConfig {
-            workers: 1,
             kernel_policy: schoolbook_only(),
-            queue_capacity: 64,
             ..ServiceConfig::default()
         },
     ));
@@ -109,7 +113,7 @@ fn shard_death_is_detected_and_survived_by_failover() {
     let victim = router.owner_of(&blocker_a, &blocker_b).unwrap();
     // Precompute the whole workload before submitting anything: expected
     // products are expensive, and computing them mid-flight would give
-    // the victim's worker time to drain the queue we want it to die on.
+    // the victim's big lane time to drain the queue we want it to die on.
     let queued: Vec<(BigInt, BigInt, BigInt)> = (0..6)
         .map(|_| {
             let a = BigInt::random_signed_bits(&mut rng, 600_000);
@@ -120,7 +124,7 @@ fn shard_death_is_detected_and_survived_by_failover() {
         .collect();
     let blocker_want = blocker_a.mul_schoolbook(&blocker_b);
     let blocker = router.submit(blocker_a, blocker_b).unwrap();
-    // Let the victim's single worker pick the blocker up, then pile
+    // Let the victim's big lane pick the blocker up, then pile
     // same-class (same-owner) work behind it and kill at once.
     std::thread::sleep(Duration::from_millis(30));
     let mut pending = Vec::new();
@@ -167,7 +171,6 @@ fn forced_shard_chaos_kills_mid_run_with_zero_lost_responses() {
     let router = Router::start(topology(
         3,
         ServiceConfig {
-            workers: 1,
             kernel_policy: schoolbook_only(),
             chaos: Some(ChaosConfig {
                 force_shard: vec![(1, 3, FaultKind::ShardKill)],
@@ -214,10 +217,8 @@ fn hot_shard_work_is_stolen_by_an_idle_sibling() {
         hot_watermark: 2,
         idle_watermark: 4,
         service: ServiceConfig {
-            workers: 1,
             verify_residues: false,
             kernel_policy: schoolbook_only(),
-            queue_capacity: 64,
             ..ServiceConfig::default()
         },
         ..ShardConfig::default()
@@ -263,22 +264,22 @@ fn router_sheds_only_when_all_live_shards_are_saturated() {
         shards: 2,
         heartbeat_ms: 5,
         service: ServiceConfig {
-            workers: 1,
             verify_residues: false,
             kernel_policy: schoolbook_only(),
-            // The router submits on the async path: its admission gate is
-            // the central async queue, so that is the capacity to squeeze.
-            batching: ft_service::BatchingConfig {
+            // A lane's queue is its admission gate, and these 250 kbit
+            // products all ride the big lane: that is the capacity to
+            // squeeze.
+            batching: BatchingConfig {
                 queue_capacity: 2,
                 max_batch: 1,
-                ..ft_service::BatchingConfig::default()
+                ..BatchingConfig::default()
             },
             ..ServiceConfig::default()
         },
         ..ShardConfig::default()
     });
     let mut rng = StdRng::seed_from_u64(47);
-    // Precompute so the submission loop is tight: two 1-worker shards
+    // Precompute so the submission loop is tight: two shards' big lanes
     // grinding 250k-bit schoolbook products cannot drain between sends.
     let work: Vec<(BigInt, BigInt, BigInt)> = (0..16)
         .map(|_| {
@@ -299,7 +300,7 @@ fn router_sheds_only_when_all_live_shards_are_saturated() {
             }
         }
     }
-    let shed = shed.expect("two 1-worker shards with capacity 2 must saturate");
+    let shed = shed.expect("two big lanes with capacity 2 must saturate");
     assert!(
         matches!(shed, SubmitError::QueueFull { .. }),
         "saturation surfaces as QueueFull, got {shed:?}"
@@ -322,7 +323,6 @@ fn stalled_shard_dies_then_rejoins_when_beats_resume() {
     let router = Router::start(topology(
         2,
         ServiceConfig {
-            workers: 1,
             verify_residues: false,
             ..ServiceConfig::default()
         },
@@ -342,4 +342,146 @@ fn stalled_shard_dies_then_rejoins_when_beats_resume() {
     assert_eq!(snap.router.shard_deaths, 1);
     assert!(snap.router.rejoins >= 1, "rejoin must be metered");
     assert_eq!(snap.served, 1);
+}
+
+/// Operand sizes of the conservation workload, on both sides of the
+/// default lane boundary (24,576 bits).
+const SMALL_LANE_BITS: [u64; 6] = [600, 1_500, 3_000, 6_000, 12_000, 20_000];
+const BIG_LANE_BITS: [u64; 4] = [26_000, 40_000, 70_000, 140_000];
+
+/// Pair `i` of the conservation workload: a small-lane pair, an
+/// unbalanced pair, or a big-lane pair. An unbalanced pair is placed by
+/// its smaller operand's class but rides the big lane of its larger
+/// one, which is how every shard's big lane gets work.
+fn conservation_pair(rng: &mut StdRng, i: usize) -> (BigInt, BigInt) {
+    let small = SMALL_LANE_BITS[(i / 3) % SMALL_LANE_BITS.len()];
+    let big = BIG_LANE_BITS[(i / 3) % BIG_LANE_BITS.len()];
+    let (a_bits, b_bits) = [(small, small), (small, big), (big, big)][i % 3];
+    (
+        BigInt::random_signed_bits(rng, a_bits),
+        BigInt::random_signed_bits(rng, b_bits),
+    )
+}
+
+/// How one accepted request ended, as its client saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// A product, and whether it was bit-exact.
+    Served(bool),
+    TimedOut,
+    Shed,
+    Faulted,
+    Stopped,
+}
+
+/// Per request: how often its handle resolved, and how it ended.
+struct Ledger {
+    resolutions: Vec<AtomicU32>,
+    outcomes: Mutex<Vec<Option<Outcome>>>,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Conservation under shard chaos. Random kill and stall sequences
+    /// hit a 3-shard router while both lanes of every shard carry work.
+    /// Every accepted handle resolves exactly once; accepted = served +
+    /// timed out + shed + faulted + stopped, counted from the handles;
+    /// the merged `served` equals the client's Ok count and every
+    /// product is bit-exact; and every live shard's queues drain to 0.
+    #[test]
+    fn every_accepted_request_resolves_exactly_once_under_shard_chaos(
+        seed in any::<u64>(),
+        // (shard, kill?, stall rounds, fire before request #)
+        events in proptest::collection::vec((0usize..3, any::<bool>(), 1u64..12, 0usize..24), 0..5),
+    ) {
+        let router = Router::start(topology(
+            3,
+            ServiceConfig {
+                shed_after_ms: Some(2_000),
+                ..ServiceConfig::default()
+            },
+        ));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let work: Vec<(BigInt, BigInt, BigInt)> = (0..24)
+            .map(|i| {
+                let (a, b) = conservation_pair(&mut rng, i);
+                let want = a.mul_schoolbook(&b);
+                (a, b, want)
+            })
+            .collect();
+        let cutoff = KernelPolicy::default().toom_threshold_bits;
+        for shard in 0..3 {
+            for big_lane in [false, true] {
+                let owned = work.iter().any(|(a, b, _)| {
+                    (a.bit_length().max(b.bit_length()) > cutoff) == big_lane
+                        && router.owner_of(a, b) == Some(shard)
+                });
+                prop_assert!(owned, "shard {} gets no work in lane big={}", shard, big_lane);
+            }
+        }
+        let ledger = Arc::new(Ledger {
+            resolutions: (0..work.len()).map(|_| AtomicU32::new(0)).collect(),
+            outcomes: Mutex::new(vec![None; work.len()]),
+        });
+        let mut accepted = 0usize;
+        for (i, (a, b, want)) in work.into_iter().enumerate() {
+            for &(shard, kill, rounds, at) in &events {
+                if at == i {
+                    if kill {
+                        router.kill_shard(shard);
+                    } else {
+                        router.stall_shard(shard, rounds);
+                    }
+                }
+            }
+            let submitted = if i % 5 == 4 {
+                router.submit_with_deadline(a, b, Duration::from_millis(40))
+            } else {
+                router.submit(a, b)
+            };
+            let Ok(handle) = submitted else { continue };
+            accepted += 1;
+            let ledger = ledger.clone();
+            handle.on_ready(move |result| {
+                ledger.resolutions[i].fetch_add(1, Ordering::SeqCst);
+                let outcome = match result {
+                    Ok(product) => Outcome::Served(product == want),
+                    Err(MulError::DeadlineExceeded { .. }) => Outcome::TimedOut,
+                    Err(MulError::Shed { .. }) => Outcome::Shed,
+                    Err(MulError::WorkerFault { .. }) => Outcome::Faulted,
+                    Err(MulError::ServiceStopped) => Outcome::Stopped,
+                };
+                ledger.outcomes.lock().unwrap()[i] = Some(outcome);
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while ledger.outcomes.lock().unwrap().iter().flatten().count() < accepted {
+            prop_assert!(Instant::now() < deadline, "an accepted request never resolved");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let depths = router.shard_depths();
+        for shard in router.live_shards() {
+            prop_assert_eq!(depths[shard], 0, "live shard {} did not drain", shard);
+        }
+        let snap = router.shutdown();
+        for (i, count) in ledger.resolutions.iter().enumerate() {
+            prop_assert!(count.load(Ordering::SeqCst) <= 1, "request {} resolved twice", i);
+        }
+        let outcomes: Vec<Outcome> = ledger.outcomes.lock().unwrap().iter().flatten().copied().collect();
+        prop_assert!(!outcomes.contains(&Outcome::Served(false)), "a served product was wrong");
+        let count = |kind: Outcome| outcomes.iter().filter(|&&o| o == kind).count();
+        let (served, timed_out, shed, faulted, stopped) = (
+            count(Outcome::Served(true)),
+            count(Outcome::TimedOut),
+            count(Outcome::Shed),
+            count(Outcome::Faulted),
+            count(Outcome::Stopped),
+        );
+        prop_assert_eq!(accepted, served + timed_out + shed + faulted + stopped);
+        prop_assert_eq!(snap.served, served as u64, "merged served vs client Ok count");
+        prop_assert_eq!(snap.timed_out, timed_out as u64);
+        prop_assert_eq!(snap.shed, shed as u64);
+        prop_assert_eq!(snap.worker_faults, faulted as u64);
+    }
 }

@@ -74,7 +74,6 @@ fn dual_rung_serves_zero_corrupt_responses_under_evading_chaos() {
     install_quiet_panic_hook();
     let seed = chaos_seed();
     let config = ServiceConfig {
-        workers: 2,
         kernel_policy: mixed_kernel_policy(),
         verify_residues: true,
         verify: dual_always(),
@@ -130,7 +129,6 @@ fn residue_only_config_misses_evading_corruptions() {
     install_quiet_panic_hook();
     let seed = chaos_seed();
     let config = ServiceConfig {
-        workers: 2,
         kernel_policy: mixed_kernel_policy(),
         verify_residues: true,
         verify: VerifyPolicy {
@@ -305,7 +303,6 @@ fn repeat_offenders_trip_the_breaker() {
         ..ChaosConfig::default()
     };
     let config = ServiceConfig {
-        workers: 1,
         kernel_policy: mixed_kernel_policy(),
         verify_residues: true,
         verify: dual_always(),

@@ -1,5 +1,5 @@
 //! Chaos demo for ft-service: the same mixed-kernel workload run twice —
-//! once clean, once with ~10% injected faults (worker panics, stragglers,
+//! once clean, once with ~10% injected faults (kernel panics, stragglers,
 //! silent product corruptions). Every product is verified against
 //! schoolbook in both runs; the chaos run survives on the supervisor's
 //! retry/backoff, residue spot-checks, and circuit-breaker kernel
@@ -38,7 +38,6 @@ fn main() {
 
 fn run(label: &str, chaos: Option<ChaosConfig>) {
     let config = ServiceConfig {
-        workers: 4,
         kernel_policy: KernelPolicy {
             // Thresholds pulled down so the workload hits all three
             // kernels at demo-friendly operand sizes.

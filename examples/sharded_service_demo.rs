@@ -20,10 +20,9 @@ fn topology() -> ShardConfig {
         heartbeat_ms: 5,
         deadline_budget: 2,
         service: ServiceConfig {
-            workers: 1,
             kernel_policy: KernelPolicy {
                 // Force the schoolbook kernel so each request visibly
-                // occupies its shard's single worker for a while.
+                // occupies its shard's big lane for a while.
                 schoolbook_max_bits: 1 << 40,
                 seq_toom_max_bits: 1 << 41,
                 ..KernelPolicy::default()

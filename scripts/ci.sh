@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== repository benchmark: build and test (ftbench/, its own workspace) =="
+# ftbench/ is a separate cargo workspace, so the workspace test above
+# never compiles it; this leg catches an ft-service or ft-http API change
+# that would break the benchmark before the benchmark itself runs.
+cargo test --release --offline --manifest-path ftbench/Cargo.toml
+
 echo "== kernel bench smoke (--quick, counting allocator) =="
 # Reduced-matrix run of the kernel baseline: catches perf/allocation cliffs
 # and keeps the counting-allocator build compiling. Does not rewrite
@@ -41,7 +47,7 @@ cargo test -p ft-http --test admission -q
 
 echo "== shard-failover e2e (3 shards, kill mid-load, zero lost) =="
 # A 3-shard router behind the real front door: one shard is killed while
-# open-loop requests are queued behind its busy worker. The heartbeat
+# open-loop requests are queued behind its busy big lane. The heartbeat
 # monitor must declare the death, stranded work must fail over to the
 # survivors, every in-flight request must complete bit-exact, and the
 # topology/metrics endpoints must report the death and the failovers.
@@ -49,8 +55,10 @@ cargo test -p ft-http --test shard_failover -q
 
 echo "== sharded router suite (placement, stealing, stall/rejoin) =="
 # Service-level topology tests: rendezvous stability proptests, chaos
-# shard kills, hot-shard work stealing, saturation-only shedding, and
-# the stall -> dead -> rejoin lifecycle.
+# shard kills, hot-shard work stealing, saturation-only shedding, the
+# stall -> dead -> rejoin lifecycle, and the conservation proptest
+# (every accepted request resolves exactly once under random kills and
+# stalls).
 cargo test -p ft-service --test router -q
 
 echo "== HTTP load generator smoke (--quick, closed + open loop) =="
