@@ -366,7 +366,7 @@ pub fn inverse(prime: usize, data: &mut [u64]) {
 }
 
 /// Multiply every entry by `len^{-1} mod p` — the normalization a raw
-/// inverse [`transform`] leaves out (exposed for protocols that fold the
+/// inverse `transform` leaves out (exposed for protocols that fold the
 /// scaling into a later stage).
 pub fn scale_by_inv_len(prime: usize, data: &mut [u64]) {
     let p = PRIMES[prime];

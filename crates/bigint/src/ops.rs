@@ -211,7 +211,7 @@ pub fn sub_assign_slices(acc: &mut Vec<Limb>, b: &[Limb]) -> bool {
     flipped
 }
 
-/// `out += a * b`, cache-blocked: `b` is consumed in [`MUL_BLOCK_LIMBS`]
+/// `out += a * b`, cache-blocked: `b` is consumed in `MUL_BLOCK_LIMBS`
 /// chunks so each chunk stays cache-resident while all of `a` streams past.
 /// Requires `out.len() >= a.len() + b.len()`; carries that outrun a block
 /// are propagated immediately (the running value never exceeds the final

@@ -9,9 +9,11 @@
 //! is self-contained and seeds deterministically. Point `--addr` at an
 //! external server to skip that.
 //!
-//!     cargo run --release -p ft-http --bin loadgen -- --quick
-//!     cargo run --release -p ft-http --bin loadgen -- \
-//!         --threads 4 --requests 200 --mix 512:2048:8192 --out BENCH_http.json
+//! ```text
+//! cargo run --release -p ft-http --bin loadgen -- --quick
+//! cargo run --release -p ft-http --bin loadgen -- \
+//!     --threads 4 --requests 200 --mix 512:2048:8192 --out BENCH_http.json
+//! ```
 //!
 //! Every response is verified bit-exactly against a precomputed product
 //! from the seeded operand pool; any mismatch aborts the run. Closed

@@ -34,7 +34,7 @@ use ft_service::{
     BatchingConfig, MetricsSnapshot, MulError, MulService, Router, ServiceConfig, ShardConfig,
     SubmitError,
 };
-use metrics::HttpMetrics;
+use metrics::{HttpMetrics, Route};
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -133,14 +133,7 @@ impl HttpServer {
     /// Connection-level counters of the underlying socket server.
     #[must_use]
     pub fn net_stats(&self) -> prom::NetStats {
-        prom::NetStats {
-            active_connections: self.net.active_connections(),
-            total_connections: self.net.total_connections(),
-            parse_errors: self.net.parse_errors(),
-            accept_errors: self.net.accept_errors(),
-            rejected_over_cap: self.net.rejected_over_cap(),
-            request_timeouts: self.net.request_timeouts(),
-        }
+        prom::NetStats::from(&self.net.stats())
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight connections
@@ -172,20 +165,20 @@ impl HttpServer {
     }
 }
 
-/// Route a parsed request, returning `(route label, status)` for the
-/// HTTP metrics layer.
+/// Route a parsed request, returning `(route, status)` for the HTTP
+/// metrics layer.
 fn dispatch(
     state: &AppState,
     req: &ft_net::Request,
     rsp: &mut ft_net::Responder<'_>,
-) -> std::io::Result<(&'static str, u16)> {
+) -> std::io::Result<(Route, u16)> {
     match (req.method.as_str(), req.path()) {
-        ("POST", "/v1/mul") => handle_mul(state, req, rsp).map(|s| ("mul", s)),
-        ("POST", "/v1/mul/batch") => handle_batch(state, req, rsp).map(|s| ("mul_batch", s)),
+        ("POST", "/v1/mul") => handle_mul(state, req, rsp).map(|s| (Route::Mul, s)),
+        ("POST", "/v1/mul/batch") => handle_batch(state, req, rsp).map(|s| (Route::MulBatch, s)),
         ("GET", "/v1/config") => {
             let body = state.router.service_config().to_json();
             rsp.send(200, "application/json", body.as_bytes())?;
-            Ok(("config", 200))
+            Ok((Route::Config, 200))
         }
         ("GET", "/v1/topology") => {
             let states: Vec<Json> = state
@@ -215,25 +208,18 @@ fn dispatch(
             ])
             .dump();
             rsp.send(200, "application/json", body.as_bytes())?;
-            Ok(("topology", 200))
+            Ok((Route::Topology, 200))
         }
         ("GET", "/v1/metrics") => {
             let body = state.router.metrics().to_json();
             rsp.send(200, "application/json", body.as_bytes())?;
-            Ok(("metrics_json", 200))
+            Ok((Route::MetricsJson, 200))
         }
         ("GET", "/metrics") => {
             let net = state
                 .net_stats
                 .get()
-                .map(|s| prom::NetStats {
-                    active_connections: s.active_connections(),
-                    total_connections: s.total_connections(),
-                    parse_errors: s.parse_errors(),
-                    accept_errors: s.accept_errors(),
-                    rejected_over_cap: s.rejected_over_cap(),
-                    request_timeouts: s.request_timeouts(),
-                })
+                .map(prom::NetStats::from)
                 .unwrap_or_default();
             let body = prom::render(
                 &state.router.metrics(),
@@ -241,23 +227,23 @@ fn dispatch(
                 &net,
             );
             rsp.send(200, prom::CONTENT_TYPE, body.as_bytes())?;
-            Ok(("metrics", 200))
+            Ok((Route::Metrics, 200))
         }
         ("GET", "/healthz") => {
             rsp.send(200, "text/plain; charset=utf-8", b"ok\n")?;
-            Ok(("healthz", 200))
+            Ok((Route::Healthz, 200))
         }
         (_, "/v1/mul" | "/v1/mul/batch") => {
             send_error(rsp, 405, "method_not_allowed", "use POST")?;
-            Ok(("other", 405))
+            Ok((Route::Other, 405))
         }
         (_, "/v1/config" | "/v1/topology" | "/v1/metrics" | "/metrics" | "/healthz") => {
             send_error(rsp, 405, "method_not_allowed", "use GET")?;
-            Ok(("other", 405))
+            Ok((Route::Other, 405))
         }
         _ => {
             send_error(rsp, 404, "not_found", "unknown route")?;
-            Ok(("other", 404))
+            Ok((Route::Other, 404))
         }
     }
 }

@@ -4,72 +4,66 @@
 //! HTTP exchanges — one batch POST is one exchange but many
 //! multiplications).
 //!
-//! The histograms reuse the service's latency bucket bounds
-//! ([`ft_service::metrics::LATENCY_BUCKET_BOUNDS_US`]) so the two layers
-//! line up on a dashboard: the gap between a route's duration and the
-//! service's completion latency is the HTTP overhead (parse, JSON,
-//! socket writes).
+//! The histograms are the service's own [`Histogram`] type, over the
+//! same bucket bounds ([`ft_service::metrics::LATENCY_BUCKET_BOUNDS_US`]),
+//! so the two layers line up on a dashboard: the gap between a route's
+//! duration and the service's completion latency is the HTTP overhead
+//! (parse, JSON, socket writes).
 
-use ft_service::metrics::LATENCY_BUCKET_BOUNDS_US;
+use ft_service::metrics::{Histogram, BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// One histogram bucket per finite bound plus the overflow bucket.
-pub const BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
-
-/// The fixed route labels. Unknown paths and bad methods aggregate under
-/// `"other"` so a path-scanning client cannot grow the label set.
-pub const ROUTES: [&str; 7] = [
+/// The fixed route labels, in [`Route`] order. Unknown paths and bad
+/// methods aggregate under `"other"` so a path-scanning client cannot
+/// grow the label set.
+pub const ROUTES: [&str; 8] = [
     "mul",
     "mul_batch",
     "config",
+    "topology",
     "metrics",
     "metrics_json",
     "healthz",
     "other",
 ];
 
+/// A route as the metrics see it: its discriminant indexes [`ROUTES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    Mul,
+    MulBatch,
+    Config,
+    Topology,
+    Metrics,
+    MetricsJson,
+    Healthz,
+    Other,
+}
+
 /// Live HTTP-layer counters, updated by the request handler.
 #[derive(Debug, Default)]
 pub struct HttpMetrics {
     /// (route, status) → completed exchanges.
     by_status: Mutex<BTreeMap<(&'static str, u16), u64>>,
-    /// Per-route duration histograms (µs), same bounds as the service.
-    histograms: Mutex<BTreeMap<&'static str, Histo>>,
+    /// Duration histogram (µs) per route, in [`ROUTES`] order.
+    histograms: [Histogram; ROUTES.len()],
     /// Batch result lines streamed over chunked responses.
     streamed_results: AtomicU64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Histo {
-    buckets: [u64; BUCKETS],
-    sum_us: u64,
-    count: u64,
 }
 
 impl HttpMetrics {
     /// Record one finished exchange on `route` with `status`, taking
     /// `elapsed_us` from request-parsed to response-flushed.
-    pub fn record(&self, route: &'static str, status: u16, elapsed_us: u64) {
+    pub fn record(&self, route: Route, status: u16, elapsed_us: u64) {
         *self
             .by_status
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry((route, status))
+            .entry((ROUTES[route as usize], status))
             .or_insert(0) += 1;
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let h = map.entry(route).or_default();
-        let idx = LATENCY_BUCKET_BOUNDS_US
-            .iter()
-            .position(|&b| elapsed_us <= b)
-            .unwrap_or(BUCKETS - 1);
-        h.buckets[idx] += 1;
-        h.sum_us = h.sum_us.saturating_add(elapsed_us);
-        h.count += 1;
+        self.histograms[route as usize].observe(elapsed_us);
     }
 
     /// Count one batch result line streamed to a client.
@@ -87,16 +81,18 @@ impl HttpMetrics {
             .iter()
             .map(|(&(route, status), &n)| (route, status, n))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        let histograms = ROUTES
             .iter()
-            .map(|(&route, h)| HttpHistogramRow {
-                route,
-                buckets: h.buckets,
-                sum_us: h.sum_us,
-                count: h.count,
+            .zip(&self.histograms)
+            .filter_map(|(&route, h)| {
+                let (buckets, sum_us) = h.read();
+                let count = buckets.iter().sum();
+                (count > 0).then_some(HttpHistogramRow {
+                    route,
+                    buckets,
+                    sum_us,
+                    count,
+                })
             })
             .collect();
         HttpSnapshot {
@@ -123,7 +119,8 @@ pub struct HttpSnapshot {
 pub struct HttpHistogramRow {
     pub route: &'static str,
     /// Bucket `i` counts exchanges at or under
-    /// [`LATENCY_BUCKET_BOUNDS_US`]`[i]` µs; the last bucket is overflow.
+    /// [`LATENCY_BUCKET_BOUNDS_US`](ft_service::metrics::LATENCY_BUCKET_BOUNDS_US)`[i]`
+    /// µs; the last bucket is overflow.
     pub buckets: [u64; BUCKETS],
     /// Sum of durations, µs (saturating).
     pub sum_us: u64,
@@ -146,10 +143,10 @@ mod tests {
     #[test]
     fn records_and_snapshots_by_route_and_status() {
         let m = HttpMetrics::default();
-        m.record("mul", 200, 50);
-        m.record("mul", 200, 700);
-        m.record("mul", 400, 10);
-        m.record("healthz", 200, 5);
+        m.record(Route::Mul, 200, 50);
+        m.record(Route::Mul, 200, 700);
+        m.record(Route::Mul, 400, 10);
+        m.record(Route::Healthz, 200, 5);
         m.record_streamed();
         m.record_streamed();
         let s = m.snapshot();
@@ -170,7 +167,7 @@ mod tests {
     #[test]
     fn overflow_bucket_catches_huge_durations() {
         let m = HttpMetrics::default();
-        m.record("metrics", 200, u64::MAX);
+        m.record(Route::Metrics, 200, u64::MAX);
         let s = m.snapshot();
         let h = s.histograms.iter().find(|h| h.route == "metrics").unwrap();
         assert_eq!(h.buckets[BUCKETS - 1], 1);

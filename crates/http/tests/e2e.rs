@@ -4,6 +4,8 @@
 //! and every error-path status the front door maps. All products are
 //! checked bit-exactly against local schoolbook multiplication.
 
+mod common;
+
 use ft_bigint::BigInt;
 use ft_http::client::Client;
 use ft_http::{HttpConfig, HttpServer};
@@ -141,14 +143,7 @@ fn mixed_traffic_over_one_keep_alive_connection() {
     ] {
         assert!(text.contains(needle), "missing {needle:?} in exposition");
     }
-    // Sample lines are NAME VALUE (or NAME{labels} VALUE) with integer
-    // values — i.e. parseable exposition.
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        let (_, value) = line.rsplit_once(' ').expect("sample line");
-        value
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("bad sample: {line}"));
-    }
+    common::assert_exposition_is_well_formed(&text);
 
     // The whole mixed sequence rode ONE keep-alive connection.
     assert_eq!(server.net_stats().total_connections, 1);
@@ -261,6 +256,47 @@ fn error_paths_map_to_documented_statuses() {
         .iter()
         .any(|&(route, status, _)| route == "other" && status == 404));
 
+    let (_, leftover) = server.shutdown();
+    assert_eq!(leftover, 0);
+}
+
+#[test]
+fn every_route_label_comes_from_the_declared_list() {
+    let server = start_server();
+    let mut client = connect(&server);
+    let mul = br#"{"a": "0x3", "b": "0x5"}"#;
+    let batch = br#"{"pairs": [["0x3", "0x5"]]}"#;
+    for (method, path, body) in [
+        ("POST", "/v1/mul", Some(&mul[..])),
+        ("POST", "/v1/mul/batch", Some(&batch[..])),
+        ("GET", "/v1/config", None),
+        ("GET", "/v1/topology", None),
+        ("GET", "/v1/metrics", None),
+        ("GET", "/healthz", None),
+        ("GET", "/v1/nope", None),
+        ("DELETE", "/v1/config", None),
+    ] {
+        let rsp = client
+            .request_streaming(method, path, body, |_| {})
+            .unwrap();
+        assert!(rsp.status < 500, "{method} {path}: {}", rsp.status);
+    }
+    let text = client.request("GET", "/metrics", None).unwrap().text();
+    common::assert_exposition_is_well_formed(&text);
+    let mut seen = Vec::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        if let Some((_, rest)) = line.split_once("route=\"") {
+            let route = rest.split('"').next().unwrap_or_default();
+            assert!(
+                ft_http::metrics::ROUTES.contains(&route),
+                "undeclared route label {route:?} in {line}"
+            );
+            seen.push(route.to_string());
+        }
+    }
+    assert!(seen.iter().any(|r| r == "topology"), "no topology series");
+    assert!(seen.iter().any(|r| r == "other"), "no other series");
+    drop(client);
     let (_, leftover) = server.shutdown();
     assert_eq!(leftover, 0);
 }

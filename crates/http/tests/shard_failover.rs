@@ -5,6 +5,8 @@
 //! heartbeat monitor, and the failovers must show up in both the JSON
 //! metrics and the Prometheus exposition.
 
+mod common;
+
 use ft_bigint::BigInt;
 use ft_http::client::Client;
 use ft_http::{HttpConfig, HttpServer};
@@ -131,6 +133,7 @@ fn killing_one_of_three_shards_loses_no_in_flight_requests() {
 
     let rsp = client.request("GET", "/metrics", None).unwrap();
     let prom = rsp.text();
+    common::assert_exposition_is_well_formed(&prom);
     assert_eq!(prom_value(&prom, "ftsvc_router_shard_deaths_total"), 1);
     assert!(prom_value(&prom, "ftsvc_router_failovers_total") >= 1);
     assert_eq!(prom_value(&prom, "ftsvc_router_shards_live"), 2);

@@ -21,7 +21,7 @@
 //! triggers panic escalation.
 
 use crate::config::DistributedConfig;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Stat};
 use ft_bigint::BigInt;
 use ft_machine::{DetectorConfig, FaultPlan};
 use ft_toom_core::ft::poly::{run_poly_ft_with, PolyFtConfig, PolyRunOptions};
@@ -140,7 +140,7 @@ impl DistributedBackend {
     ) -> BigInt {
         let (plan, slowdowns) = self.injection_for(request, attempt);
         if self.planned_columns(&plan) > self.poly.f {
-            metrics.record_distributed_unrecoverable();
+            metrics.add(Stat::DistributedUnrecoverable, 1);
             panic!("{UNRECOVERABLE_MSG}");
         }
         let opts = PolyRunOptions {
@@ -157,13 +157,17 @@ impl DistributedBackend {
         let outcome = run_poly_ft_with(a, b, &self.poly, plan, &opts);
         let deaths = u64::from(outcome.report.total_deaths());
         let detect = outcome.report.detect_totals();
-        metrics.record_distributed_run(
-            deaths,
-            detect.rounds,
-            detect.false_positives,
+        metrics.add(Stat::DistributedRuns, 1);
+        if deaths > 0 {
+            metrics.add(Stat::DistributedRecoveries, 1);
+        }
+        metrics.add(Stat::DistributedDetectRounds, detect.rounds);
+        metrics.add(Stat::DistributedFalsePositives, detect.false_positives);
+        metrics.add(
+            Stat::DistributedStragglersFlagged,
             detect.stragglers_flagged,
-            detect.max_missed,
         );
+        metrics.raise(Stat::DistributedMaxDetectLatency, detect.max_missed);
         outcome.product
     }
 }

@@ -1,5 +1,12 @@
 //! Service metrics: lock-free counters plus a JSON-serializable snapshot.
 //!
+//! ## One declaration per scalar
+//!
+//! Every scalar metric is one row of [`SCALARS`]. Loading a snapshot,
+//! [`MetricsSnapshot::merge`], [`MetricsSnapshot::to_json`] and the
+//! service half of the Prometheus exposition loop over the rows; only the
+//! latency histogram and the labelled families are written out by hand.
+//!
 //! ## Snapshot consistency
 //!
 //! Counters are independent relaxed atomics, so a snapshot taken while
@@ -17,7 +24,8 @@ use crate::chaos::FaultKind;
 use crate::json::{obj, Json};
 use crate::kernel::Kernel;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Upper bounds (µs) of the latency histogram buckets; the last bucket is
@@ -26,7 +34,8 @@ use std::time::Duration;
 pub const LATENCY_BUCKET_BOUNDS_US: [u64; 8] =
     [100, 500, 1_000, 5_000, 25_000, 100_000, 500_000, 2_000_000];
 
-const BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
+/// Histogram buckets: one per finite bound plus the overflow bucket.
+pub const BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
 
 /// Number of operand size classes tracked per kernel. Class `c` covers
 /// operands whose smaller bit length lies in `[2^c, 2^{c+1})` (class 0
@@ -56,202 +65,276 @@ fn saturating_fetch_add(counter: &AtomicU64, value: u64) {
     });
 }
 
-/// Shared mutable counters, updated by submitters and lane dispatchers.
-#[derive(Default)]
-pub(crate) struct Metrics {
-    rejected_queue_full: AtomicU64,
-    timed_out: AtomicU64,
-    shed: AtomicU64,
-    per_kernel: [AtomicU64; 5],
-    queue_depth_high_water: AtomicUsize,
-    latency_buckets: [AtomicU64; BUCKETS],
-    latency_total_us: AtomicU64,
-    /// Served-request counts per (kernel, operand size class).
-    class_served: [[AtomicU64; SIZE_CLASSES]; 5],
-    /// Summed completion latency (µs, saturating) per (kernel, class).
-    class_total_us: [[AtomicU64; SIZE_CLASSES]; 5],
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    batch_size_high_water: AtomicUsize,
-    batch_faults: AtomicU64,
-    batch_element_retries: AtomicU64,
-    tuner_retunes: AtomicU64,
-    retries: AtomicU64,
-    fallbacks: AtomicU64,
-    worker_faults: AtomicU64,
-    residue_checks: AtomicU64,
-    verification_failures: AtomicU64,
-    verify_residue_failures: AtomicU64,
-    verify_residue_cost_us: AtomicU64,
-    verify_dual_checks: AtomicU64,
-    verify_dual_failures: AtomicU64,
-    verify_dual_cost_us: AtomicU64,
-    verify_recompute_checks: AtomicU64,
-    verify_recompute_failures: AtomicU64,
-    verify_recompute_cost_us: AtomicU64,
-    verify_escalations: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_closes: AtomicU64,
-    injected_faults: [AtomicU64; 5],
-    distributed_runs: AtomicU64,
-    distributed_recoveries: AtomicU64,
-    distributed_unrecoverable: AtomicU64,
-    distributed_false_positives: AtomicU64,
-    distributed_detect_rounds: AtomicU64,
-    distributed_stragglers_flagged: AtomicU64,
-    distributed_max_detect_latency: AtomicU64,
+/// A latency histogram over [`LATENCY_BUCKET_BOUNDS_US`]: relaxed atomic
+/// buckets and a saturating µs sum; its count is the bucket sum. Serves
+/// the service's completion latency and the HTTP per-route durations.
+#[derive(Debug, Default)]
+pub struct Histogram {
+    buckets: [AtomicU64; BUCKETS],
+    sum_us: AtomicU64,
 }
 
-impl Metrics {
-    pub(crate) fn record_served(&self, kernel: Kernel, bits: u64, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+impl Histogram {
+    /// Count one observation of `us` microseconds.
+    pub fn observe(&self, us: u64) {
         let bucket = LATENCY_BUCKET_BOUNDS_US
             .iter()
             .position(|&bound| us <= bound)
             .unwrap_or(BUCKETS - 1);
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        saturating_fetch_add(&self.sum_us, us);
+    }
+
+    /// The bucket counts (bucket `i` counts observations at or under
+    /// [`LATENCY_BUCKET_BOUNDS_US`]`[i]` µs, the last one the rest) and
+    /// the sum of all observations, µs.
+    #[must_use]
+    pub fn read(&self) -> ([u64; BUCKETS], u64) {
+        let buckets = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        (buckets, self.sum_us.load(Ordering::Relaxed))
+    }
+}
+
+/// How [`MetricsSnapshot::merge`] combines one scalar across shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merge {
+    /// Saturating sum.
+    Sum,
+    /// High-water mark: the larger value.
+    Max,
+    /// Left alone: the router stamps it after merging its shards.
+    Router,
+}
+
+/// One scalar metric, declared once as a row of [`SCALARS`].
+pub struct Scalar {
+    /// Its atomic cell, or `None` when the snapshot computes it.
+    stat: Option<Stat>,
+    /// Reads the value from a snapshot.
+    pub get: fn(&MetricsSnapshot) -> u64,
+    set: fn(&mut MetricsSnapshot, u64),
+    /// How shard snapshots combine.
+    merge: Merge,
+    /// JSON key, after its section and a dot if it has one.
+    json: &'static str,
+    /// Prometheus sample name, labels included. Rows of one family are
+    /// adjacent and share type and help.
+    pub prom: &'static str,
+    /// Prometheus type: `counter` or `gauge`.
+    pub prom_type: &'static str,
+    /// Prometheus help text.
+    pub help: &'static str,
+}
+
+macro_rules! scalars {
+    (@row $stat:expr, $($field:ident).+, $merge:ident, $json:literal, $kind:ident,
+     $prom:literal, $help:literal) => {
+        Scalar {
+            stat: $stat,
+            get: |s| s.$($field).+ as u64,
+            set: |s, v| s.$($field).+ = v as _,
+            merge: Merge::$merge,
+            json: $json,
+            prom: $prom,
+            prom_type: stringify!($kind),
+            help: $help,
+        }
+    };
+    (stored { $($stat:ident $($sf:ident).+: $sm:ident, $sj:literal, $sk:ident $sp:literal,
+                $sh:literal;)* }
+     computed { $($($cf:ident).+: $cm:ident, $cj:literal, $ck:ident $cp:literal,
+                  $ch:literal;)* }) => {
+        /// A scalar recorded in an atomic cell of [`Metrics`].
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) enum Stat { $($stat),* }
+        const STATS: usize = [$(Stat::$stat),*].len();
+
+        /// Every scalar metric, one row each: first those recorded in
+        /// cells, then those the snapshot computes.
+        pub static SCALARS: &[Scalar] = &[
+            $(scalars!(@row Some(Stat::$stat), $($sf).+, $sm, $sj, $sk, $sp, $sh),)*
+            $(scalars!(@row None, $($cf).+, $cm, $cj, $ck, $cp, $ch),)*
+        ];
+    };
+}
+
+// Each row: [cell] snapshot field: merge rule, JSON key, Prometheus type
+// and sample, help text. A family's rows are adjacent.
+scalars! {
+    stored {
+        RejectedQueueFull rejected_queue_full: Sum, "rejected_queue_full",
+            counter "ft_rejected_queue_full_total",
+            "Submissions refused at the queue boundary (backpressure).";
+        TimedOut timed_out: Sum, "timed_out", counter "ft_timed_out_total",
+            "Accepted requests whose deadline passed in queue.";
+        Shed shed: Sum, "shed", counter "ft_shed_total", "Accepted requests shed under load.";
+        QueueDepthHighWater queue_depth_high_water: Max, "queue_depth_high_water",
+            gauge "ft_queue_depth_high_water",
+            "Largest total of queued requests, both lanes summed, observed at submit time.";
+        Batches batches: Sum, "batching.batches", counter "ft_batches_total",
+            "Dispatch groups run by the lanes, a lone request counting as a group of one.";
+        BatchedRequests batched_requests: Sum, "batching.batched_requests",
+            counter "ft_batched_requests_total",
+            "Requests dispatched in those groups, lone requests included.";
+        BatchSizeHighWater batch_size_high_water: Max, "batching.batch_size_high_water",
+            gauge "ft_batch_size_high_water", "Largest coalesced batch dispatched.";
+        BatchFaults batch_faults: Sum, "batching.batch_faults", counter "ft_batch_faults_total",
+            "Whole-batch attempts that fell back to per-element execution.";
+        BatchElementRetries batch_element_retries: Sum, "batching.batch_element_retries",
+            counter "ft_batch_element_retries_total", "Batch elements re-executed individually.";
+        TunerRetunes tuner_retunes: Sum, "tuner_retunes", counter "ft_tuner_retunes_total",
+            "Kernel-policy updates published by the adaptive tuner.";
+        Retries retries: Sum, "robustness.retries", counter "ft_retries_total",
+            "Supervised re-attempts after a failed attempt.";
+        Fallbacks fallbacks: Sum, "robustness.fallbacks", counter "ft_fallbacks_total",
+            "Attempts executed on a kernel below the selected one.";
+        WorkerFaults worker_faults: Sum, "robustness.worker_faults",
+            counter "ft_worker_faults_total",
+            "Requests that exhausted the retry budget and the degradation ladder.";
+        BreakerOpens breaker_opens: Sum, "robustness.breaker_opens",
+            counter "ft_breaker_opens_total", "Circuit-breaker transitions into the open state.";
+        BreakerCloses breaker_closes: Sum, "robustness.breaker_closes",
+            counter "ft_breaker_closes_total", "Circuit-breaker transitions back to closed.";
+        ResidueChecks verify.residue_checks: Sum, "verify.residue_checks",
+            counter "ftsvc_verify_checks_total{rung=\"residue\"}",
+            "Verification-ladder checks executed, by rung.";
+        DualChecks verify.dual_checks: Sum, "verify.dual_checks",
+            counter "ftsvc_verify_checks_total{rung=\"dual\"}",
+            "Verification-ladder checks executed, by rung.";
+        RecomputeChecks verify.recompute_checks: Sum, "verify.recompute_checks",
+            counter "ftsvc_verify_checks_total{rung=\"recompute\"}",
+            "Verification-ladder checks executed, by rung.";
+        ResidueFailures verify.residue_failures: Sum, "verify.residue_failures",
+            counter "ftsvc_verify_failures_total{rung=\"residue\"}",
+            "Verification-ladder checks that flagged a product, by rung.";
+        DualFailures verify.dual_failures: Sum, "verify.dual_failures",
+            counter "ftsvc_verify_failures_total{rung=\"dual\"}",
+            "Verification-ladder checks that flagged a product, by rung.";
+        RecomputeFailures verify.recompute_failures: Sum, "verify.recompute_failures",
+            counter "ftsvc_verify_failures_total{rung=\"recompute\"}",
+            "Verification-ladder checks that flagged a product, by rung.";
+        ResidueCostUs verify.residue_cost_us: Sum, "verify.residue_cost_us",
+            counter "ftsvc_verify_cost_us_total{rung=\"residue\"}",
+            "Microseconds spent in each verification rung.";
+        DualCostUs verify.dual_cost_us: Sum, "verify.dual_cost_us",
+            counter "ftsvc_verify_cost_us_total{rung=\"dual\"}",
+            "Microseconds spent in each verification rung.";
+        RecomputeCostUs verify.recompute_cost_us: Sum, "verify.recompute_cost_us",
+            counter "ftsvc_verify_cost_us_total{rung=\"recompute\"}",
+            "Microseconds spent in each verification rung.";
+        DistributedRuns distributed.runs: Sum, "distributed.runs",
+            counter "ft_distributed_runs_total",
+            "Multiplications completed on the simulated coded machine.";
+        DistributedRecoveries distributed.recoveries: Sum, "distributed.recoveries",
+            counter "ft_distributed_recoveries_total",
+            "Runs that survived at least one simulated processor death.";
+        DistributedUnrecoverable distributed.unrecoverable: Sum, "distributed.unrecoverable",
+            counter "ft_distributed_unrecoverable_total",
+            "Distributed attempts whose faults exceeded the redundancy f.";
+        DistributedFalsePositives distributed.false_positives: Sum, "distributed.false_positives",
+            counter "ft_distributed_false_positives_total",
+            "Live ranks the in-machine detector wrongly declared dead.";
+        DistributedDetectRounds distributed.detect_rounds: Sum, "distributed.detect_rounds",
+            counter "ft_distributed_detect_rounds_total",
+            "Heartbeat detection rounds executed across all runs.";
+        DistributedStragglersFlagged distributed.stragglers_flagged: Sum,
+            "distributed.stragglers_flagged", counter "ft_distributed_stragglers_flagged_total",
+            "Ranks flagged and dropped as stragglers across all runs.";
+        DistributedMaxDetectLatency distributed.max_detect_latency_ticks: Max,
+            "distributed.max_detect_latency_ticks", gauge "ft_distributed_max_detect_latency_ticks",
+            "Worst heartbeat detection latency observed, simulated ticks.";
+    }
+    // Set by `Metrics::snapshot` from the histogram, its arguments or other
+    // cells, and for `router.*` by the router.
+    computed {
+        served: Sum, "served", counter "ft_requests_served_total",
+            "Multiplications completed successfully.";
+        queue_depth: Sum, "queue_depth", gauge "ft_queue_depth", "Queued requests at scrape time.";
+        plan_cache_hits: Sum, "plan_cache_hits", counter "ft_plan_cache_hits_total",
+            "Toom-plan cache hits.";
+        plan_cache_misses: Sum, "plan_cache_misses", counter "ft_plan_cache_misses_total",
+            "Toom-plan cache misses.";
+        residue_checks: Sum, "robustness.residue_checks", counter "ft_residue_checks_total",
+            "Products spot-checked by the residue verifier.";
+        verification_failures: Sum, "robustness.verification_failures",
+            counter "ft_verification_failures_total",
+            "Spot-checks that caught an inconsistent product.";
+        verify.escalations: Sum, "verify.escalations", counter "ftsvc_verify_escalations_total",
+            "Dual-check disagreements escalated to a full recompute.";
+        router.shards: Router, "router.shards", gauge "ftsvc_router_shards",
+            "Shards in the topology.";
+        router.live: Router, "router.live", gauge "ftsvc_router_shards_live",
+            "Shards currently routable (not declared dead).";
+        router.shard_deaths: Router, "router.shard_deaths",
+            counter "ftsvc_router_shard_deaths_total",
+            "Shards declared dead by the heartbeat verdict.";
+        router.failovers: Router, "router.failovers", counter "ftsvc_router_failovers_total",
+            "Requests re-routed to a survivor after their shard died.";
+        router.steals: Router, "router.steals", counter "ftsvc_router_steals_total",
+            "Requests stolen from a hot shard by an idle sibling.";
+        router.rejoins: Router, "router.rejoins", counter "ftsvc_router_rejoins_total",
+            "Dead shards re-admitted after their heartbeats resumed.";
+        router.monitor_rounds: Router, "router.monitor_rounds",
+            counter "ftsvc_router_monitor_rounds_total",
+            "Service-level heartbeat detection rounds executed.";
+    }
+}
+
+/// Shared mutable counters, updated by submitters and lane dispatchers.
+pub(crate) struct Metrics {
+    stats: [AtomicU64; STATS],
+    per_kernel: [AtomicU64; 5],
+    latency: Histogram,
+    /// Served-request counts per (kernel, operand size class).
+    class_served: [[AtomicU64; SIZE_CLASSES]; 5],
+    /// Summed completion latency (µs, saturating) per (kernel, class).
+    class_total_us: [[AtomicU64; SIZE_CLASSES]; 5],
+    injected_faults: [AtomicU64; 5],
+}
+
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics {
+            stats: std::array::from_fn(|_| AtomicU64::new(0)),
+            per_kernel: Default::default(),
+            latency: Histogram::default(),
+            class_served: Default::default(),
+            class_total_us: Default::default(),
+            injected_faults: Default::default(),
+        }
+    }
+}
+
+impl Metrics {
+    /// Add `n` to a counter (saturating).
+    pub(crate) fn add(&self, stat: Stat, n: u64) {
+        saturating_fetch_add(&self.stats[stat as usize], n);
+    }
+
+    /// Raise a high-water mark to at least `value`.
+    pub(crate) fn raise(&self, stat: Stat, value: u64) {
+        self.stats[stat as usize].fetch_max(value, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_served(&self, kernel: Kernel, bits: u64, latency: Duration) {
+        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        self.latency.observe(us);
         self.per_kernel[kernel as usize].fetch_add(1, Ordering::Relaxed);
-        saturating_fetch_add(&self.latency_total_us, us);
         let class = size_class(bits);
         self.class_served[kernel as usize][class].fetch_add(1, Ordering::Relaxed);
         saturating_fetch_add(&self.class_total_us[kernel as usize][class], us);
     }
 
-    pub(crate) fn record_queue_full(&self) {
-        self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_timed_out(&self) {
-        self.timed_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn observe_queue_depth(&self, depth: usize) {
-        self.queue_depth_high_water
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// A coalesced batch of `size` requests was dispatched as one unit.
+    /// A lane dispatched one group of `size` requests as one unit (a
+    /// lone request is a group of one).
     pub(crate) fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.batch_size_high_water
-            .fetch_max(size, Ordering::Relaxed);
-    }
-
-    /// A whole-batch attempt failed (hard fault); its elements were
-    /// re-executed individually.
-    pub(crate) fn record_batch_fault(&self) {
-        self.batch_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One batch element was retried on the individual supervised path.
-    pub(crate) fn record_batch_element_retry(&self) {
-        self.batch_element_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The adaptive tuner published a new kernel policy.
-    pub(crate) fn record_retune(&self) {
-        self.tuner_retunes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_worker_fault(&self) {
-        self.worker_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rung 1 of the verification ladder: one residue spot-check took
-    /// `us` µs; `ok` is whether the product passed. A failure also counts
-    /// toward the legacy `verification_failures` total.
-    pub(crate) fn record_residue_verify(&self, us: u64, ok: bool) {
-        self.residue_checks.fetch_add(1, Ordering::Relaxed);
-        saturating_fetch_add(&self.verify_residue_cost_us, us);
-        if !ok {
-            self.verify_residue_failures.fetch_add(1, Ordering::Relaxed);
-            self.verification_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Rung 2: one sampled dual-algorithm recomputation took `us` µs;
-    /// `mismatch` is whether the two algorithms disagreed. A disagreement
-    /// escalates to rung 3 and is counted as an escalation here.
-    pub(crate) fn record_dual_check(&self, us: u64, mismatch: bool) {
-        self.verify_dual_checks.fetch_add(1, Ordering::Relaxed);
-        saturating_fetch_add(&self.verify_dual_cost_us, us);
-        if mismatch {
-            self.verify_dual_failures.fetch_add(1, Ordering::Relaxed);
-            self.verify_escalations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Rung 3: one full clean recompute (mismatch localization) took `us`
-    /// µs; `original_corrupt` is whether it confirmed the served-path
-    /// product was the corrupt one (that also counts toward the legacy
-    /// `verification_failures` total — a caught soft fault).
-    pub(crate) fn record_recompute(&self, us: u64, original_corrupt: bool) {
-        self.verify_recompute_checks.fetch_add(1, Ordering::Relaxed);
-        saturating_fetch_add(&self.verify_recompute_cost_us, us);
-        if original_corrupt {
-            self.verify_recompute_failures
-                .fetch_add(1, Ordering::Relaxed);
-            self.verification_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn record_breaker_open(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_breaker_close(&self) {
-        self.breaker_closes.fetch_add(1, Ordering::Relaxed);
+        self.add(Stat::Batches, 1);
+        self.add(Stat::BatchedRequests, size as u64);
+        self.raise(Stat::BatchSizeHighWater, size as u64);
     }
 
     pub(crate) fn record_injected(&self, kind: FaultKind) {
         self.injected_faults[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One completed run on the simulated coded machine, with the totals
-    /// of its run report: simulated deaths the heartbeat detector had to
-    /// find, detection rounds, detector false positives, straggler flags,
-    /// and the run's worst detection latency in simulated ticks.
-    pub(crate) fn record_distributed_run(
-        &self,
-        deaths: u64,
-        detect_rounds: u64,
-        false_positives: u64,
-        stragglers_flagged: u64,
-        max_detect_latency_ticks: u64,
-    ) {
-        self.distributed_runs.fetch_add(1, Ordering::Relaxed);
-        if deaths > 0 {
-            self.distributed_recoveries.fetch_add(1, Ordering::Relaxed);
-        }
-        self.distributed_detect_rounds
-            .fetch_add(detect_rounds, Ordering::Relaxed);
-        self.distributed_false_positives
-            .fetch_add(false_positives, Ordering::Relaxed);
-        self.distributed_stragglers_flagged
-            .fetch_add(stragglers_flagged, Ordering::Relaxed);
-        self.distributed_max_detect_latency
-            .fetch_max(max_detect_latency_ticks, Ordering::Relaxed);
-    }
-
-    /// A distributed attempt whose injected faults exceeded the code's
-    /// redundancy; the request fell back down the local kernel ladder.
-    pub(crate) fn record_distributed_unrecoverable(&self) {
-        self.distributed_unrecoverable
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Per-(kernel, size-class) `(count, total_us)` cells for the tuner.
@@ -267,12 +350,7 @@ impl Metrics {
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, plan_stats: (u64, u64)) -> MetricsSnapshot {
-        let latency_buckets: [u64; BUCKETS] =
-            std::array::from_fn(|i| self.latency_buckets[i].load(Ordering::Relaxed));
-        // Self-consistency: served is *defined* as the bucket sum, so the
-        // histogram always accounts for exactly the served requests even
-        // when the snapshot races concurrent record_served calls.
-        let served = latency_buckets.iter().sum();
+        let (latency_buckets, latency_total_us) = self.latency.read();
         let kernel_classes = Kernel::ALL
             .iter()
             .flat_map(|&k| {
@@ -287,68 +365,39 @@ impl Metrics {
                 })
             })
             .collect();
-        MetricsSnapshot {
-            served,
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            per_kernel: Kernel::ALL.map(|k| {
-                (
-                    k.name(),
-                    self.per_kernel[k as usize].load(Ordering::Relaxed),
-                )
-            }),
+        let mut snap = MetricsSnapshot {
+            // Self-consistency: served is *defined* as the bucket sum, so
+            // the histogram always accounts for exactly the served
+            // requests even when the snapshot races concurrent
+            // record_served calls.
+            served: latency_buckets.iter().sum(),
             queue_depth,
-            queue_depth_high_water: self.queue_depth_high_water.load(Ordering::Relaxed),
             latency_buckets,
-            latency_total_us: self.latency_total_us.load(Ordering::Relaxed),
+            latency_total_us,
             kernel_classes,
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            batch_size_high_water: self.batch_size_high_water.load(Ordering::Relaxed),
-            batch_faults: self.batch_faults.load(Ordering::Relaxed),
-            batch_element_retries: self.batch_element_retries.load(Ordering::Relaxed),
-            tuner_retunes: self.tuner_retunes.load(Ordering::Relaxed),
             plan_cache_hits: plan_stats.0,
             plan_cache_misses: plan_stats.1,
-            retries: self.retries.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            worker_faults: self.worker_faults.load(Ordering::Relaxed),
-            residue_checks: self.residue_checks.load(Ordering::Relaxed),
-            verification_failures: self.verification_failures.load(Ordering::Relaxed),
-            verify: VerifySnapshot {
-                residue_checks: self.residue_checks.load(Ordering::Relaxed),
-                residue_failures: self.verify_residue_failures.load(Ordering::Relaxed),
-                residue_cost_us: self.verify_residue_cost_us.load(Ordering::Relaxed),
-                dual_checks: self.verify_dual_checks.load(Ordering::Relaxed),
-                dual_failures: self.verify_dual_failures.load(Ordering::Relaxed),
-                dual_cost_us: self.verify_dual_cost_us.load(Ordering::Relaxed),
-                recompute_checks: self.verify_recompute_checks.load(Ordering::Relaxed),
-                recompute_failures: self.verify_recompute_failures.load(Ordering::Relaxed),
-                recompute_cost_us: self.verify_recompute_cost_us.load(Ordering::Relaxed),
-                escalations: self.verify_escalations.load(Ordering::Relaxed),
-            },
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            breaker_closes: self.breaker_closes.load(Ordering::Relaxed),
-            injected_faults: FaultKind::ALL.map(|k| {
-                (
-                    k.name(),
-                    self.injected_faults[k as usize].load(Ordering::Relaxed),
-                )
-            }),
-            distributed: DistributedSnapshot {
-                runs: self.distributed_runs.load(Ordering::Relaxed),
-                recoveries: self.distributed_recoveries.load(Ordering::Relaxed),
-                unrecoverable: self.distributed_unrecoverable.load(Ordering::Relaxed),
-                false_positives: self.distributed_false_positives.load(Ordering::Relaxed),
-                detect_rounds: self.distributed_detect_rounds.load(Ordering::Relaxed),
-                stragglers_flagged: self.distributed_stragglers_flagged.load(Ordering::Relaxed),
-                max_detect_latency_ticks: self
-                    .distributed_max_detect_latency
-                    .load(Ordering::Relaxed),
-            },
-            router: RouterSnapshot::default(),
+            ..MetricsSnapshot::default()
+        };
+        let labelled = snap.per_kernel.iter_mut().zip(&self.per_kernel);
+        for (cell, count) in
+            labelled.chain(snap.injected_faults.iter_mut().zip(&self.injected_faults))
+        {
+            cell.1 = count.load(Ordering::Relaxed);
         }
+        for row in SCALARS {
+            if let Some(stat) = row.stat {
+                (row.set)(&mut snap, self.stats[stat as usize].load(Ordering::Relaxed));
+            }
+        }
+        // Counters that always move together are derived, not stored.
+        snap.residue_checks = snap.verify.residue_checks;
+        snap.verification_failures = snap
+            .verify
+            .residue_failures
+            .saturating_add(snap.verify.recompute_failures);
+        snap.verify.escalations = snap.verify.dual_failures;
+        snap
     }
 }
 
@@ -375,84 +424,111 @@ impl KernelClassRow {
     }
 }
 
-/// A point-in-time copy of the service's counters. `Default` is the
-/// all-zero snapshot (kernel and fault-kind labels empty) — useful as a
-/// fixture for exporters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct MetricsSnapshot {
-    /// Requests completed successfully. Always equals the sum of
-    /// `latency_buckets` (derived from the histogram, see the module docs
-    /// on snapshot consistency).
-    pub served: u64,
-    /// Submissions refused at the queue boundary (backpressure).
-    pub rejected_queue_full: u64,
-    /// Accepted requests rejected because their deadline passed in queue.
-    pub timed_out: u64,
-    /// Accepted requests shed under load (queue age exceeded the bound).
-    pub shed: u64,
-    /// Completions per kernel, keyed by [`Kernel::name`]. May differ from
-    /// `served` by requests in flight at snapshot time.
-    pub per_kernel: [(&'static str, u64); 5],
-    /// Total queued requests at snapshot time.
-    pub queue_depth: usize,
-    /// Largest single-queue depth observed at submit time.
-    pub queue_depth_high_water: usize,
-    /// Completion-latency histogram; bucket `i` counts requests at or
-    /// under [`LATENCY_BUCKET_BOUNDS_US`]`[i]` µs, with one overflow
-    /// bucket at the end.
-    pub latency_buckets: [u64; BUCKETS],
-    /// Sum of all completion latencies, µs (saturating at `u64::MAX`).
-    pub latency_total_us: u64,
-    /// Non-empty per-(kernel, size-class) latency cells.
-    pub kernel_classes: Vec<KernelClassRow>,
-    /// Coalesced batches dispatched by the lanes (groups of ≥ 2).
-    pub batches: u64,
-    /// Requests that rode in those coalesced batches.
-    pub batched_requests: u64,
-    /// Largest coalesced batch dispatched.
-    pub batch_size_high_water: usize,
-    /// Whole-batch attempts that failed and fell back to per-element
-    /// supervised execution.
-    pub batch_faults: u64,
-    /// Batch elements re-executed individually (verification failure or
-    /// whole-batch fault).
-    pub batch_element_retries: u64,
-    /// Kernel-policy updates published by the adaptive tuner.
-    pub tuner_retunes: u64,
-    /// Toom-plan cache hits.
-    pub plan_cache_hits: u64,
-    /// Toom-plan cache misses.
-    pub plan_cache_misses: u64,
-    /// Supervised re-attempts after a failed attempt (hard or soft fault).
-    pub retries: u64,
-    /// Attempts executed on a kernel below the selected one (breaker
-    /// diversion or forced degradation).
-    pub fallbacks: u64,
-    /// Requests that exhausted the retry budget and the whole degradation
-    /// ladder ([`crate::MulError::WorkerFault`]).
-    pub worker_faults: u64,
-    /// Products spot-checked by the residue verifier.
-    pub residue_checks: u64,
-    /// Caught soft faults across the whole verification ladder: residue
-    /// mismatches plus recompute-confirmed dual-check disagreements.
-    pub verification_failures: u64,
-    /// Per-rung counters and costs of the verification ladder
-    /// (`residue → dual-algorithm → recompute`).
-    pub verify: VerifySnapshot,
-    /// Circuit-breaker transitions into the open state.
-    pub breaker_opens: u64,
-    /// Circuit-breaker transitions back to closed (successful probe).
-    pub breaker_closes: u64,
-    /// Chaos-injected faults by kind, keyed by
-    /// [`crate::chaos::FaultKind::name`].
-    pub injected_faults: [(&'static str, u64); 5],
-    /// Robustness counters of the distributed backend (the simulated
-    /// coded machine with heartbeat failure detection).
-    pub distributed: DistributedSnapshot,
-    /// Topology counters of the sharded router (zero when the service
-    /// runs unsharded). Filled in by [`crate::router::Router`] when it
-    /// merges per-shard snapshots.
-    pub router: RouterSnapshot,
+/// Declares [`MetricsSnapshot`] and its `Default`: every field zero, the
+/// labelled families with their labels.
+macro_rules! snapshot_struct {
+    ($(#[$attr:meta])* pub struct MetricsSnapshot {
+        $($(#[$field_attr:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$attr])*
+        pub struct MetricsSnapshot {
+            $($(#[$field_attr])* pub $field: $ty,)*
+        }
+
+        impl Default for MetricsSnapshot {
+            fn default() -> MetricsSnapshot {
+                MetricsSnapshot {
+                    per_kernel: Kernel::ALL.map(|k| (k.name(), 0)),
+                    injected_faults: FaultKind::ALL.map(|k| (k.name(), 0)),
+                    ..MetricsSnapshot { $($field: Default::default()),* }
+                }
+            }
+        }
+    };
+}
+
+snapshot_struct! {
+    /// A point-in-time copy of the service's counters. `Default` is the
+    /// all-zero snapshot, its kernel and fault-kind labels filled in — useful
+    /// as a merge accumulator and as a fixture for exporters.
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+    pub struct MetricsSnapshot {
+        /// Requests completed successfully. Always equals the sum of
+        /// `latency_buckets` (derived from the histogram, see the module docs
+        /// on snapshot consistency).
+        pub served: u64,
+        /// Submissions refused at the queue boundary (backpressure).
+        pub rejected_queue_full: u64,
+        /// Accepted requests rejected because their deadline passed in queue.
+        pub timed_out: u64,
+        /// Accepted requests shed under load (queue age exceeded the bound).
+        pub shed: u64,
+        /// Completions per kernel, keyed by [`Kernel::name`]. May differ from
+        /// `served` by requests in flight at snapshot time.
+        pub per_kernel: [(&'static str, u64); 5],
+        /// Total queued requests at snapshot time.
+        pub queue_depth: usize,
+        /// Largest total of queued requests, both lanes summed, observed at
+        /// submit time.
+        pub queue_depth_high_water: usize,
+        /// Completion-latency histogram; bucket `i` counts requests at or
+        /// under [`LATENCY_BUCKET_BOUNDS_US`]`[i]` µs, with one overflow
+        /// bucket at the end.
+        pub latency_buckets: [u64; BUCKETS],
+        /// Sum of all completion latencies, µs (saturating at `u64::MAX`).
+        pub latency_total_us: u64,
+        /// Non-empty per-(kernel, size-class) latency cells.
+        pub kernel_classes: Vec<KernelClassRow>,
+        /// Dispatch groups run by the lanes; a lone request counts as a
+        /// group of one.
+        pub batches: u64,
+        /// Requests dispatched in those groups, lone requests included.
+        pub batched_requests: u64,
+        /// Largest coalesced batch dispatched.
+        pub batch_size_high_water: usize,
+        /// Whole-batch attempts that failed and fell back to per-element
+        /// supervised execution.
+        pub batch_faults: u64,
+        /// Batch elements re-executed individually (verification failure or
+        /// whole-batch fault).
+        pub batch_element_retries: u64,
+        /// Kernel-policy updates published by the adaptive tuner.
+        pub tuner_retunes: u64,
+        /// Toom-plan cache hits.
+        pub plan_cache_hits: u64,
+        /// Toom-plan cache misses.
+        pub plan_cache_misses: u64,
+        /// Supervised re-attempts after a failed attempt (hard or soft fault).
+        pub retries: u64,
+        /// Attempts executed on a kernel below the selected one (breaker
+        /// diversion or forced degradation).
+        pub fallbacks: u64,
+        /// Requests that exhausted the retry budget and the whole degradation
+        /// ladder ([`crate::MulError::WorkerFault`]).
+        pub worker_faults: u64,
+        /// Products spot-checked by the residue verifier.
+        pub residue_checks: u64,
+        /// Caught soft faults across the whole verification ladder: residue
+        /// mismatches plus recompute-confirmed dual-check disagreements.
+        pub verification_failures: u64,
+        /// Per-rung counters and costs of the verification ladder
+        /// (`residue → dual-algorithm → recompute`).
+        pub verify: VerifySnapshot,
+        /// Circuit-breaker transitions into the open state.
+        pub breaker_opens: u64,
+        /// Circuit-breaker transitions back to closed (successful probe).
+        pub breaker_closes: u64,
+        /// Chaos-injected faults by kind, keyed by
+        /// [`crate::chaos::FaultKind::name`].
+        pub injected_faults: [(&'static str, u64); 5],
+        /// Robustness counters of the distributed backend (the simulated
+        /// coded machine with heartbeat failure detection).
+        pub distributed: DistributedSnapshot,
+        /// Topology counters of the sharded router (zero when the service
+        /// runs unsharded). Filled in by [`crate::router::Router`] when it
+        /// merges per-shard snapshots.
+        pub router: RouterSnapshot,
+    }
 }
 
 /// Per-rung counters of the verification ladder (see `crate::verify`):
@@ -534,27 +610,29 @@ pub struct RouterSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fold another shard's snapshot into this one: counters and
-    /// histograms sum, high-water marks take the max, per-cell kernel
-    /// stats merge by (kernel, class). `served` stays the bucket sum by
-    /// construction. The `router` section is left untouched — the router
-    /// owns it and stamps it after merging its shards.
+    /// Fold another shard's snapshot into this one: each scalar by its
+    /// declared rule (saturating sum, or max for high-water marks),
+    /// histograms and labelled counters by summing, per-cell kernel stats
+    /// by (kernel, class). `served` stays the bucket sum by construction.
+    /// The `router` section is left untouched — the router owns it and
+    /// stamps it after merging its shards.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.rejected_queue_full += other.rejected_queue_full;
-        self.timed_out += other.timed_out;
-        self.shed += other.shed;
-        for (i, &(name, count)) in other.per_kernel.iter().enumerate() {
-            if self.per_kernel[i].0.is_empty() {
-                self.per_kernel[i].0 = name;
+        for row in SCALARS {
+            let (mine, theirs) = ((row.get)(self), (row.get)(other));
+            match row.merge {
+                Merge::Sum => (row.set)(self, mine.saturating_add(theirs)),
+                Merge::Max => (row.set)(self, mine.max(theirs)),
+                Merge::Router => {}
             }
-            self.per_kernel[i].1 += count;
         }
-        self.queue_depth += other.queue_depth;
-        self.queue_depth_high_water = self
-            .queue_depth_high_water
-            .max(other.queue_depth_high_water);
-        for (i, &count) in other.latency_buckets.iter().enumerate() {
-            self.latency_buckets[i] += count;
+        let labelled = self.per_kernel.iter_mut().zip(&other.per_kernel);
+        for (mine, theirs) in
+            labelled.chain(self.injected_faults.iter_mut().zip(&other.injected_faults))
+        {
+            mine.1 = mine.1.saturating_add(theirs.1);
+        }
+        for (mine, theirs) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
+            *mine = mine.saturating_add(*theirs);
         }
         self.served = self.latency_buckets.iter().sum();
         self.latency_total_us = self.latency_total_us.saturating_add(other.latency_total_us);
@@ -571,56 +649,6 @@ impl MetricsSnapshot {
                 None => self.kernel_classes.push(row.clone()),
             }
         }
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.batch_size_high_water = self.batch_size_high_water.max(other.batch_size_high_water);
-        self.batch_faults += other.batch_faults;
-        self.batch_element_retries += other.batch_element_retries;
-        self.tuner_retunes += other.tuner_retunes;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.retries += other.retries;
-        self.fallbacks += other.fallbacks;
-        self.worker_faults += other.worker_faults;
-        self.residue_checks += other.residue_checks;
-        self.verification_failures += other.verification_failures;
-        self.verify.residue_checks += other.verify.residue_checks;
-        self.verify.residue_failures += other.verify.residue_failures;
-        self.verify.residue_cost_us = self
-            .verify
-            .residue_cost_us
-            .saturating_add(other.verify.residue_cost_us);
-        self.verify.dual_checks += other.verify.dual_checks;
-        self.verify.dual_failures += other.verify.dual_failures;
-        self.verify.dual_cost_us = self
-            .verify
-            .dual_cost_us
-            .saturating_add(other.verify.dual_cost_us);
-        self.verify.recompute_checks += other.verify.recompute_checks;
-        self.verify.recompute_failures += other.verify.recompute_failures;
-        self.verify.recompute_cost_us = self
-            .verify
-            .recompute_cost_us
-            .saturating_add(other.verify.recompute_cost_us);
-        self.verify.escalations += other.verify.escalations;
-        self.breaker_opens += other.breaker_opens;
-        self.breaker_closes += other.breaker_closes;
-        for (i, &(name, count)) in other.injected_faults.iter().enumerate() {
-            if self.injected_faults[i].0.is_empty() {
-                self.injected_faults[i].0 = name;
-            }
-            self.injected_faults[i].1 += count;
-        }
-        self.distributed.runs += other.distributed.runs;
-        self.distributed.recoveries += other.distributed.recoveries;
-        self.distributed.unrecoverable += other.distributed.unrecoverable;
-        self.distributed.false_positives += other.distributed.false_positives;
-        self.distributed.detect_rounds += other.distributed.detect_rounds;
-        self.distributed.stragglers_flagged += other.distributed.stragglers_flagged;
-        self.distributed.max_detect_latency_ticks = self
-            .distributed
-            .max_detect_latency_ticks
-            .max(other.distributed.max_detect_latency_ticks);
     }
 
     /// Mean completion latency in µs (0 when nothing was served).
@@ -686,216 +714,57 @@ impl MetricsSnapshot {
     /// Serialize to compact JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let buckets = Json::Arr(
-            self.latency_buckets
-                .iter()
-                .enumerate()
-                .map(|(i, &count)| {
-                    let le = LATENCY_BUCKET_BOUNDS_US
-                        .get(i)
-                        .map_or(Json::Null, |&b| Json::Num(i128::from(b)));
-                    obj([("le_us", le), ("count", Json::Num(i128::from(count)))])
-                })
-                .collect(),
+        let num = |n: u64| Json::Num(i128::from(n));
+        let labelled = |cells: &[(&str, u64)]| {
+            Json::Obj(
+                cells
+                    .iter()
+                    .map(|&(k, n)| (k.to_string(), num(n)))
+                    .collect(),
+            )
+        };
+        let buckets = self.latency_buckets.iter().enumerate().map(|(i, &count)| {
+            let le = LATENCY_BUCKET_BOUNDS_US
+                .get(i)
+                .map_or(Json::Null, |&b| num(b));
+            obj([("le_us", le), ("count", num(count))])
+        });
+        let classes = self.kernel_classes.iter().map(|row| {
+            obj([
+                ("kernel", Json::Str(row.kernel.to_string())),
+                ("class_bits", num(row.class_bits)),
+                ("served", num(row.served)),
+                ("mean_us", num(row.mean_us())),
+            ])
+        });
+        let quantiles = [("p50_us", 0.5), ("p99_us", 0.99), ("p999_us", 0.999)]
+            .map(|(key, q)| (key, num(self.latency_quantile_us(q))));
+        let scalars = SCALARS.iter().map(|row| (row.json, num((row.get)(self))));
+        let mut sections = BTreeMap::<&str, BTreeMap<String, Json>>::new();
+        for (path, value) in scalars.chain([
+            (
+                "robustness.injected_faults",
+                labelled(&self.injected_faults),
+            ),
+            ("per_kernel", labelled(&self.per_kernel)),
+            ("latency_buckets", Json::Arr(buckets.collect())),
+            ("mean_latency_us", num(self.mean_latency_us())),
+            ("latency_quantiles", obj(quantiles)),
+            ("size_classes", Json::Arr(classes.collect())),
+        ]) {
+            let (section, key) = path.split_once('.').unwrap_or(("", path));
+            sections
+                .entry(section)
+                .or_default()
+                .insert(key.to_string(), value);
+        }
+        let mut doc = sections.remove("").unwrap_or_default();
+        doc.extend(
+            sections
+                .into_iter()
+                .map(|(name, map)| (name.to_string(), Json::Obj(map))),
         );
-        let classes = Json::Arr(
-            self.kernel_classes
-                .iter()
-                .map(|row| {
-                    obj([
-                        ("kernel", Json::Str(row.kernel.to_string())),
-                        ("class_bits", Json::Num(i128::from(row.class_bits))),
-                        ("served", Json::Num(i128::from(row.served))),
-                        ("mean_us", Json::Num(i128::from(row.mean_us()))),
-                    ])
-                })
-                .collect(),
-        );
-        obj([
-            ("served", Json::Num(i128::from(self.served))),
-            (
-                "rejected_queue_full",
-                Json::Num(i128::from(self.rejected_queue_full)),
-            ),
-            ("timed_out", Json::Num(i128::from(self.timed_out))),
-            ("shed", Json::Num(i128::from(self.shed))),
-            (
-                "per_kernel",
-                Json::Obj(
-                    self.per_kernel
-                        .iter()
-                        .map(|&(name, count)| (name.to_string(), Json::Num(i128::from(count))))
-                        .collect(),
-                ),
-            ),
-            ("queue_depth", Json::Num(self.queue_depth as i128)),
-            (
-                "queue_depth_high_water",
-                Json::Num(self.queue_depth_high_water as i128),
-            ),
-            ("latency_buckets", buckets),
-            (
-                "mean_latency_us",
-                Json::Num(i128::from(self.mean_latency_us())),
-            ),
-            (
-                "latency_quantiles",
-                obj([
-                    ("p50_us", Json::Num(i128::from(self.p50_latency_us()))),
-                    ("p99_us", Json::Num(i128::from(self.p99_latency_us()))),
-                    ("p999_us", Json::Num(i128::from(self.p999_latency_us()))),
-                ]),
-            ),
-            ("size_classes", classes),
-            (
-                "batching",
-                obj([
-                    ("batches", Json::Num(i128::from(self.batches))),
-                    (
-                        "batched_requests",
-                        Json::Num(i128::from(self.batched_requests)),
-                    ),
-                    (
-                        "batch_size_high_water",
-                        Json::Num(self.batch_size_high_water as i128),
-                    ),
-                    ("batch_faults", Json::Num(i128::from(self.batch_faults))),
-                    (
-                        "batch_element_retries",
-                        Json::Num(i128::from(self.batch_element_retries)),
-                    ),
-                ]),
-            ),
-            ("tuner_retunes", Json::Num(i128::from(self.tuner_retunes))),
-            (
-                "plan_cache_hits",
-                Json::Num(i128::from(self.plan_cache_hits)),
-            ),
-            (
-                "plan_cache_misses",
-                Json::Num(i128::from(self.plan_cache_misses)),
-            ),
-            (
-                "robustness",
-                obj([
-                    ("retries", Json::Num(i128::from(self.retries))),
-                    ("fallbacks", Json::Num(i128::from(self.fallbacks))),
-                    ("worker_faults", Json::Num(i128::from(self.worker_faults))),
-                    ("residue_checks", Json::Num(i128::from(self.residue_checks))),
-                    (
-                        "verification_failures",
-                        Json::Num(i128::from(self.verification_failures)),
-                    ),
-                    ("breaker_opens", Json::Num(i128::from(self.breaker_opens))),
-                    ("breaker_closes", Json::Num(i128::from(self.breaker_closes))),
-                    (
-                        "injected_faults",
-                        Json::Obj(
-                            self.injected_faults
-                                .iter()
-                                .map(|&(name, count)| {
-                                    (name.to_string(), Json::Num(i128::from(count)))
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "verify",
-                obj([
-                    (
-                        "residue_checks",
-                        Json::Num(i128::from(self.verify.residue_checks)),
-                    ),
-                    (
-                        "residue_failures",
-                        Json::Num(i128::from(self.verify.residue_failures)),
-                    ),
-                    (
-                        "residue_cost_us",
-                        Json::Num(i128::from(self.verify.residue_cost_us)),
-                    ),
-                    (
-                        "dual_checks",
-                        Json::Num(i128::from(self.verify.dual_checks)),
-                    ),
-                    (
-                        "dual_failures",
-                        Json::Num(i128::from(self.verify.dual_failures)),
-                    ),
-                    (
-                        "dual_cost_us",
-                        Json::Num(i128::from(self.verify.dual_cost_us)),
-                    ),
-                    (
-                        "recompute_checks",
-                        Json::Num(i128::from(self.verify.recompute_checks)),
-                    ),
-                    (
-                        "recompute_failures",
-                        Json::Num(i128::from(self.verify.recompute_failures)),
-                    ),
-                    (
-                        "recompute_cost_us",
-                        Json::Num(i128::from(self.verify.recompute_cost_us)),
-                    ),
-                    (
-                        "escalations",
-                        Json::Num(i128::from(self.verify.escalations)),
-                    ),
-                ]),
-            ),
-            (
-                "distributed",
-                obj([
-                    ("runs", Json::Num(i128::from(self.distributed.runs))),
-                    (
-                        "recoveries",
-                        Json::Num(i128::from(self.distributed.recoveries)),
-                    ),
-                    (
-                        "unrecoverable",
-                        Json::Num(i128::from(self.distributed.unrecoverable)),
-                    ),
-                    (
-                        "false_positives",
-                        Json::Num(i128::from(self.distributed.false_positives)),
-                    ),
-                    (
-                        "detect_rounds",
-                        Json::Num(i128::from(self.distributed.detect_rounds)),
-                    ),
-                    (
-                        "stragglers_flagged",
-                        Json::Num(i128::from(self.distributed.stragglers_flagged)),
-                    ),
-                    (
-                        "max_detect_latency_ticks",
-                        Json::Num(i128::from(self.distributed.max_detect_latency_ticks)),
-                    ),
-                ]),
-            ),
-            (
-                "router",
-                obj([
-                    ("shards", Json::Num(i128::from(self.router.shards))),
-                    ("live", Json::Num(i128::from(self.router.live))),
-                    (
-                        "shard_deaths",
-                        Json::Num(i128::from(self.router.shard_deaths)),
-                    ),
-                    ("failovers", Json::Num(i128::from(self.router.failovers))),
-                    ("steals", Json::Num(i128::from(self.router.steals))),
-                    ("rejoins", Json::Num(i128::from(self.router.rejoins))),
-                    (
-                        "monitor_rounds",
-                        Json::Num(i128::from(self.router.monitor_rounds)),
-                    ),
-                ]),
-            ),
-        ])
-        .dump()
+        Json::Obj(doc).dump()
     }
 }
 
@@ -909,28 +778,56 @@ mod tests {
         let m = Metrics::default();
         m.record_served(Kernel::Schoolbook, 2_000, Duration::from_micros(80));
         m.record_served(Kernel::ParToom, 200_000, Duration::from_millis(300));
-        m.record_queue_full();
-        m.record_timed_out();
-        m.record_shed();
-        m.observe_queue_depth(5);
-        m.observe_queue_depth(3);
+        m.add(Stat::RejectedQueueFull, 1);
+        m.add(Stat::TimedOut, 1);
+        m.add(Stat::Shed, 1);
+        m.raise(Stat::QueueDepthHighWater, 5);
+        m.raise(Stat::QueueDepthHighWater, 3);
         m.record_batch(7);
         m.record_batch(3);
-        m.record_batch_fault();
-        m.record_batch_element_retry();
-        m.record_retune();
-        m.record_retry();
-        m.record_retry();
-        m.record_fallback();
-        m.record_worker_fault();
-        m.record_residue_verify(3, true);
-        m.record_residue_verify(2, false);
-        m.record_dual_check(40, false);
-        m.record_dual_check(55, true);
-        m.record_recompute(200, true);
-        m.record_recompute(100, false);
-        m.record_breaker_open();
-        m.record_breaker_close();
+        m.add(Stat::BatchFaults, 1);
+        m.add(Stat::BatchElementRetries, 1);
+        m.add(Stat::TunerRetunes, 1);
+        m.add(Stat::Retries, 1);
+        m.add(Stat::Retries, 1);
+        m.add(Stat::Fallbacks, 1);
+        m.add(Stat::WorkerFaults, 1);
+        // Two residue checks (3 µs, 2 µs), the second failing; two dual
+        // checks (40 µs, 55 µs), the second disagreeing; two recomputes
+        // (200 µs, 100 µs), the first confirming a corrupt product.
+        for (checks, failures, cost, us, failed) in [
+            (
+                Stat::ResidueChecks,
+                Stat::ResidueFailures,
+                Stat::ResidueCostUs,
+                [3, 2],
+                [false, true],
+            ),
+            (
+                Stat::DualChecks,
+                Stat::DualFailures,
+                Stat::DualCostUs,
+                [40, 55],
+                [false, true],
+            ),
+            (
+                Stat::RecomputeChecks,
+                Stat::RecomputeFailures,
+                Stat::RecomputeCostUs,
+                [200, 100],
+                [true, false],
+            ),
+        ] {
+            for (us, failed) in us.into_iter().zip(failed) {
+                m.add(checks, 1);
+                m.add(cost, us);
+                if failed {
+                    m.add(failures, 1);
+                }
+            }
+        }
+        m.add(Stat::BreakerOpens, 1);
+        m.add(Stat::BreakerCloses, 1);
         m.record_injected(FaultKind::Corrupt);
         let s = m.snapshot(2, (10, 1));
         assert_eq!(s.served, 2);
@@ -1005,15 +902,22 @@ mod tests {
         let a = Metrics::default();
         a.record_served(Kernel::Schoolbook, 2_000, Duration::from_micros(80));
         a.record_served(Kernel::ParToom, 200_000, Duration::from_millis(3));
-        a.record_queue_full();
-        a.record_retry();
-        a.observe_queue_depth(5);
+        a.add(Stat::RejectedQueueFull, 1);
+        a.add(Stat::Retries, 1);
+        a.raise(Stat::QueueDepthHighWater, 5);
         a.record_injected(FaultKind::ShardKill);
         let b = Metrics::default();
         b.record_served(Kernel::Schoolbook, 2_000, Duration::from_micros(90));
-        b.record_residue_verify(3, false);
-        b.observe_queue_depth(9);
-        b.record_distributed_run(1, 2, 0, 0, 7);
+        b.add(Stat::ResidueChecks, 1);
+        b.add(Stat::ResidueCostUs, 3);
+        b.add(Stat::ResidueFailures, 1);
+        b.raise(Stat::QueueDepthHighWater, 9);
+        // One distributed run that recovered a death over two detection
+        // rounds, detected after 7 ticks.
+        b.add(Stat::DistributedRuns, 1);
+        b.add(Stat::DistributedRecoveries, 1);
+        b.add(Stat::DistributedDetectRounds, 2);
+        b.raise(Stat::DistributedMaxDetectLatency, 7);
         let mut merged = a.snapshot(2, (4, 1));
         merged.merge(&b.snapshot(3, (0, 2)));
         assert_eq!(merged.served, 3);
@@ -1046,13 +950,30 @@ mod tests {
         assert_eq!(school.total_us, 170);
         assert_eq!(merged.kernel_classes.len(), 2);
         assert_eq!(merged.per_kernel[0], ("schoolbook", 2));
-        // Merging into a Default (all-zero, label-less) accumulator
-        // inherits the labels.
+        // A Default accumulator carries the labels itself.
         let mut acc = MetricsSnapshot::default();
         acc.merge(&merged);
         assert_eq!(acc.per_kernel[0], ("schoolbook", 2));
         assert_eq!(acc.injected_faults[3], ("shard_kill", 1));
         assert_eq!(acc.served, 3);
+    }
+
+    /// The exposition writes one header per run of rows, so a family's
+    /// rows must be adjacent and agree; JSON keys must not collide.
+    #[test]
+    fn scalar_rows_keep_families_adjacent_and_keys_unique() {
+        let family = |row: &Scalar| row.prom.split('{').next().unwrap_or(row.prom);
+        let mut keys = std::collections::BTreeSet::new();
+        let mut families = std::collections::BTreeSet::new();
+        for (i, row) in SCALARS.iter().enumerate() {
+            assert!(keys.insert(row.json), "JSON key {} twice", row.json);
+            match i.checked_sub(1).map(|p| &SCALARS[p]) {
+                Some(prev) if family(prev) == family(row) => {
+                    assert_eq!((prev.prom_type, prev.help), (row.prom_type, row.help));
+                }
+                _ => assert!(families.insert(family(row)), "{} split", row.prom),
+            }
+        }
     }
 
     #[test]
@@ -1169,9 +1090,13 @@ mod tests {
         m.record_batch(4);
         // One clean distributed run, one that recovered a death after a
         // 9-tick detection, one unrecoverable fallback.
-        m.record_distributed_run(0, 1, 0, 0, 0);
-        m.record_distributed_run(2, 1, 0, 1, 9);
-        m.record_distributed_unrecoverable();
+        m.add(Stat::DistributedRuns, 2);
+        m.add(Stat::DistributedRecoveries, 1);
+        m.add(Stat::DistributedDetectRounds, 2);
+        m.add(Stat::DistributedStragglersFlagged, 1);
+        m.raise(Stat::DistributedMaxDetectLatency, 0);
+        m.raise(Stat::DistributedMaxDetectLatency, 9);
+        m.add(Stat::DistributedUnrecoverable, 1);
         let s = m.snapshot(0, (0, 0));
         let doc = crate::json::Json::parse(&s.to_json()).unwrap();
         assert_eq!(doc.get("served").unwrap().as_u64(), Some(1));

@@ -11,14 +11,14 @@
 //!   limb-kernel call, no Toom recursion);
 //! - the **big lane** takes everything else.
 //!
-//! Each lane runs [`crate::dispatcher`]'s loop on its own thread, which
+//! Each lane runs the `dispatcher` module's loop on its own thread, which
 //! coalesces same-shape requests into one supervised batch. A bulk
 //! submission travels as one queue message to the lane of its largest
 //! operand and resolves through one shared [`BatchHandle`]. The split
 //! keeps a kilobit request from queueing behind a megabit Toom or NTT
 //! job, as the paper gives independent products their own processors.
 //! Both lanes read the *live* kernel policy, which the adaptive tuner
-//! (see [`crate::tuner`]) re-derives from the latency histogram at
+//! (the `tuner` module) re-derives from the latency histogram at
 //! runtime; the tuner never moves the lane boundary. Shutdown drops the
 //! senders; each dispatcher drains what its lane accepted, then exits.
 
@@ -26,7 +26,7 @@ use crate::config::ServiceConfig;
 use crate::distributed::DistributedBackend;
 use crate::error::{MulError, SubmitError};
 use crate::kernel::Kernel;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, Stat};
 use crate::plan_cache::PlanCache;
 use crate::supervisor::Supervisor;
 use crossbeam::channel::{bounded, Sender, TrySendError};
@@ -824,11 +824,13 @@ impl MulService {
             Ok(depth) => {
                 // The high-water mark tracks the backlog of both lanes.
                 let other = self.lanes.get(1 - lane).map_or(0, Sender::len);
-                self.shared.metrics.observe_queue_depth(depth + other);
+                self.shared
+                    .metrics
+                    .raise(Stat::QueueDepthHighWater, (depth + other) as u64);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => {
-                self.shared.metrics.record_queue_full();
+                self.shared.metrics.add(Stat::RejectedQueueFull, 1);
                 Err(SubmitError::QueueFull {
                     capacity: self.shared.config.batching.queue_capacity,
                 })
@@ -966,7 +968,7 @@ pub(crate) fn gate(request: MulRequest, now: Instant, shared: &Shared) -> Option
     }
     let waited = now.saturating_duration_since(request.enqueued_at);
     if request.deadline.expired(now) {
-        shared.metrics.record_timed_out();
+        shared.metrics.add(Stat::TimedOut, 1);
         request
             .done
             .fulfill(Err(MulError::DeadlineExceeded { waited }));
@@ -975,7 +977,7 @@ pub(crate) fn gate(request: MulRequest, now: Instant, shared: &Shared) -> Option
     if request.deadline.sheddable() {
         if let Some(shed_after_ms) = shared.config.shed_after_ms {
             if waited > Duration::from_millis(shed_after_ms) {
-                shared.metrics.record_shed();
+                shared.metrics.add(Stat::Shed, 1);
                 request.done.fulfill(Err(MulError::Shed { waited }));
                 return None;
             }
@@ -1402,6 +1404,9 @@ mod tests {
             .on_ready(move |result| tx.send(result).unwrap());
         let got = rx.recv_timeout(Duration::from_secs(60)).unwrap();
         assert_eq!(got.unwrap(), want);
+        // A lone request is counted as a dispatch group of one.
+        let metrics = service.metrics();
+        assert_eq!((metrics.batches, metrics.batched_requests), (1, 1));
         // A callback registered after resolution fires immediately.
         let c = BigInt::random_signed_bits(&mut rng, 1_000);
         let d = BigInt::random_signed_bits(&mut rng, 1_000);

@@ -19,7 +19,7 @@ use crate::distributed::DistributedBackend;
 use crate::error::MulError;
 use crate::json::{obj, Json};
 use crate::kernel::Kernel;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Stat};
 use crate::plan_cache::PlanCache;
 use crate::verify::VerifyPolicy;
 use ft_bigint::BigInt;
@@ -283,7 +283,7 @@ impl Supervisor {
             .breaker_state(kernel)
             .on_failure(Instant::now(), &self.breaker)
         {
-            metrics.record_breaker_open();
+            metrics.add(Stat::BreakerOpens, 1);
         }
     }
 
@@ -338,8 +338,10 @@ impl Supervisor {
         if self.verify_residues {
             let start = Instant::now();
             let ok = residue::verify_product(a, b, &product);
-            metrics.record_residue_verify(elapsed_us(start), ok);
+            metrics.add(Stat::ResidueChecks, 1);
+            metrics.add(Stat::ResidueCostUs, elapsed_us(start));
             if !ok {
+                metrics.add(Stat::ResidueFailures, 1);
                 return Err(());
             }
         }
@@ -353,22 +355,26 @@ impl Supervisor {
         let start = Instant::now();
         let dual = self.dual_multiply(a, b);
         let mismatch = dual != product;
-        metrics.record_dual_check(elapsed_us(start), mismatch);
+        metrics.add(Stat::DualChecks, 1);
+        metrics.add(Stat::DualCostUs, elapsed_us(start));
         if !mismatch {
             return Ok(Verified::Clean(product));
         }
+        metrics.add(Stat::DualFailures, 1);
         let start = Instant::now();
         // Full clean re-execution — always on the local kernel ladder
         // (even for distributed attempts), with no chaos draw: the
         // recompute must be ground truth to arbitrate the disagreement.
         let recompute = kernel.execute(a, b, policy, plans);
         let original_corrupt = recompute != product;
-        metrics.record_recompute(elapsed_us(start), original_corrupt);
+        metrics.add(Stat::RecomputeChecks, 1);
+        metrics.add(Stat::RecomputeCostUs, elapsed_us(start));
         if !original_corrupt {
             // The dual computation itself was the corrupt one (2-of-3
             // majority for the served product) — serve the original.
             return Ok(Verified::Clean(product));
         }
+        metrics.add(Stat::RecomputeFailures, 1);
         if recompute == dual {
             // Confirmed: the served-path product was corrupt. Serve the
             // agreed value and charge the kernel like any other failure.
@@ -421,12 +427,12 @@ impl Supervisor {
         loop {
             let kernel = forced.unwrap_or_else(|| self.effective_kernel(selected, Instant::now()));
             if kernel != selected {
-                metrics.record_fallback();
+                metrics.add(Stat::Fallbacks, 1);
             }
             match self.attempt(a, b, request, attempt, kernel, policy, plans, metrics) {
                 Ok(Verified::Clean(product)) => {
                     if self.breaker_state(kernel).on_success() {
-                        metrics.record_breaker_close();
+                        metrics.add(Stat::BreakerCloses, 1);
                     }
                     return Ok((product, kernel));
                 }
@@ -449,12 +455,12 @@ impl Supervisor {
                 match kernel.degrade() {
                     Some(lower) => forced = Some(lower),
                     None => {
-                        metrics.record_worker_fault();
+                        metrics.add(Stat::WorkerFaults, 1);
                         return Err(MulError::WorkerFault { attempts: attempt });
                     }
                 }
             }
-            metrics.record_retry();
+            metrics.add(Stat::Retries, 1);
             let pause = self.retry.backoff(request, attempt.saturating_sub(1));
             if !pause.is_zero() {
                 std::thread::sleep(pause);
@@ -483,11 +489,11 @@ impl Supervisor {
         debug_assert_eq!(pairs.len(), requests.len());
         let kernel = self.effective_kernel(selected, Instant::now());
         if kernel != selected {
-            metrics.record_fallback();
+            metrics.add(Stat::Fallbacks, 1);
         }
         let retry_element = |i: usize| {
-            metrics.record_batch_element_retry();
-            metrics.record_retry();
+            metrics.add(Stat::BatchElementRetries, 1);
+            metrics.add(Stat::Retries, 1);
             self.execute_from(
                 &pairs[i].0,
                 &pairs[i].1,
@@ -508,7 +514,7 @@ impl Supervisor {
                 if products.iter().any(Option::is_none) {
                     self.record_failure(kernel, metrics);
                 } else if !recovered && self.breaker_state(kernel).on_success() {
-                    metrics.record_breaker_close();
+                    metrics.add(Stat::BreakerCloses, 1);
                 }
                 products
                     .into_iter()
@@ -523,7 +529,7 @@ impl Supervisor {
                 // Hard batch fault: one breaker failure, then every
                 // element falls back to the individual supervised path.
                 self.record_failure(kernel, metrics);
-                metrics.record_batch_fault();
+                metrics.add(Stat::BatchFaults, 1);
                 (0..pairs.len()).map(retry_element).collect()
             }
         }

@@ -18,7 +18,7 @@
 //!   own detector, below this seam.
 
 use crate::error::{MulError, SubmitError};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, Stat};
 use crate::service::{resolved_handle, ResponseHandle};
 use crate::shard::Shard;
 use ft_bigint::BigInt;
@@ -180,7 +180,7 @@ impl Transport for MachineTransport {
                         Ok(product)
                     }
                     Err(_) => {
-                        self.metrics.record_worker_fault();
+                        self.metrics.add(Stat::WorkerFaults, 1);
                         Err(MulError::WorkerFault { attempts: 1 })
                     }
                 };

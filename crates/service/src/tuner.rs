@@ -17,7 +17,7 @@
 //! oscillation: one noisy interval cannot flap a threshold back.
 
 use crate::config::{KernelPolicy, TunerConfig};
-use crate::metrics::{size_class, ClassStats, SIZE_CLASSES};
+use crate::metrics::{size_class, ClassStats, Stat, SIZE_CLASSES};
 use crate::service::Shared;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,7 +70,7 @@ fn tuner_loop(shared: &Shared, stop: &AtomicBool) {
         let current = shared.policy();
         if let Some(tuned) = retune(&current, &stats, &shared.config.tuner) {
             *shared.live_policy.write() = tuned;
-            shared.metrics.record_retune();
+            shared.metrics.add(Stat::TunerRetunes, 1);
         }
     }
 }

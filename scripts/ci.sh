@@ -10,6 +10,11 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc -D warnings =="
+# Broken or private intra-doc links and unparsable doc code blocks fail
+# here rather than in a reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test =="
 cargo test --workspace -q
 
