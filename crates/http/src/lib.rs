@@ -22,7 +22,7 @@
 //! degradation ladder are exhausted, and `400` for malformed JSON or
 //! operands. The batch route streams each element's result — success or
 //! per-element error — as one NDJSON line, in submission order, as soon
-//! as [`ft_service::BatchHandle::wait_slot`] resolves it.
+//! as the [`ft_service::BatchHandle`]'s streaming iterator yields it.
 
 pub mod client;
 pub mod metrics;
@@ -338,8 +338,8 @@ fn handle_batch(
         Err(e) => return send_submit_error(state, rsp, &e),
     };
     let mut stream = rsp.start_chunked(200, &[("Content-Type", "application/x-ndjson")])?;
-    for slot in 0..handle.len() {
-        let line = match handle.wait_slot(slot) {
+    for (slot, result) in handle.into_iter().enumerate() {
+        let line = match result {
             Ok(product) => obj([
                 ("slot", Json::Num(slot as i128)),
                 ("product", Json::Str(product.to_hex())),

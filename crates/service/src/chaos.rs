@@ -29,8 +29,8 @@ pub const INJECTED_PANIC_MSG: &str = "chaos-injected worker panic";
 
 /// The injectable fault kinds (see the module docs for the mapping to
 /// the paper's hard/delay/soft fault model). The first three target one
-/// request attempt inside a lane; the shard kinds target a whole
-/// [`crate::shard::Shard`] and are drawn by the router's monitor via
+/// request attempt inside a lane; the shard kinds target a whole shard
+/// of a [`crate::Router`] and are drawn by its monitor via
 /// [`ChaosConfig::decide_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {

@@ -174,7 +174,7 @@ fn execute_group(
         &shared.plans,
         &shared.metrics,
     );
-    // Stage every result first, then wake: see [`CompletionGuard::stage`].
+    // Stage every result first, then wake: see `Slot::stage`.
     let done_at = Instant::now();
     let mut wakers = Vec::with_capacity(meta.len());
     for (result, (bits, enqueued_at, done)) in results.into_iter().zip(meta) {

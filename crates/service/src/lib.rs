@@ -3,11 +3,14 @@
 //! Accepts multiplication requests into one of two bounded lanes (small
 //! products and big ones, so neither queues behind the other), batches
 //! them, auto-selects a kernel per request size, and returns results
-//! through completion handles. Kernel execution is supervised: panics are caught,
-//! products are residue-verified, failures are retried with backoff and
-//! degraded across kernels by per-kernel circuit breakers, and a
-//! deterministic chaos injector can exercise all of it. See `DESIGN.md`
-//! §2 for the subsystem inventory.
+//! through one slot table per submission, read as a [`ResponseHandle`]
+//! or a [`BatchHandle`]. Kernel execution is supervised: panics are
+//! caught, products are residue-verified, failures are retried with
+//! backoff and degraded across kernels by per-kernel circuit breakers,
+//! and a deterministic chaos injector can exercise all of it. A
+//! [`Router`] spreads requests over several services (shards) and fails
+//! a dead shard's queued work over to the survivors. See `DESIGN.md` §2
+//! for the subsystem inventory.
 
 pub mod chaos;
 pub mod config;
@@ -20,9 +23,8 @@ pub mod metrics;
 pub mod plan_cache;
 pub mod router;
 pub mod service;
-pub mod shard;
+pub(crate) mod shard;
 pub mod supervisor;
-pub mod transport;
 pub(crate) mod tuner;
 pub mod verify;
 
@@ -34,9 +36,7 @@ pub use distributed::DistributedBackend;
 pub use error::{MulError, SubmitError};
 pub use kernel::Kernel;
 pub use metrics::{DistributedSnapshot, MetricsSnapshot, RouterSnapshot, VerifySnapshot};
-pub use router::{Router, ShardState};
+pub use router::{Router, ShardId, ShardState};
 pub use service::{BatchHandle, BatchResults, MulService, ResponseHandle};
-pub use shard::Shard;
 pub use supervisor::{BreakerPolicy, RetryPolicy};
-pub use transport::{ChannelTransport, Command, MachineTransport, Reply, ShardId, Transport};
 pub use verify::VerifyPolicy;

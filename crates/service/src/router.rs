@@ -1,5 +1,7 @@
 //! N shards behind one front door: consistent-hash placement, heartbeat
-//! liveness, failover re-routing, and cross-shard work stealing.
+//! liveness, failover re-routing, and cross-shard work stealing. The
+//! router holds its shards (each a [`MulService`](crate::MulService) plus
+//! a heartbeat) and calls them directly.
 //!
 //! ## Placement
 //!
@@ -27,10 +29,11 @@
 //!
 //! A death is *survived*, not just observed: queued work the dead shard
 //! surrenders (`ServiceStopped`) is re-routed to survivors by the
-//! completion callback (`router.failovers`), work already started rides
-//! the existing supervisor retry/verify ladder, and new work routes
-//! around the corpse immediately. When one shard runs hot
-//! (`queue depth > hot_watermark`) while a sibling idles
+//! completion callback (`router.failovers`), under the absolute deadline
+//! its client set at submission, so failover never extends a deadline.
+//! Work already started rides the existing supervisor retry/verify
+//! ladder, and new work routes around the corpse immediately. When one
+//! shard runs hot (`queue depth > hot_watermark`) while a sibling idles
 //! (`≤ idle_watermark`), placement redirects to the idle sibling
 //! (`router.steals`). Only when *every* live shard refuses does the
 //! router shed — callers map that to HTTP 429 with a live-depth
@@ -39,9 +42,8 @@
 use crate::config::{ServiceConfig, ShardConfig};
 use crate::error::{MulError, SubmitError};
 use crate::metrics::{size_class, MetricsSnapshot, RouterSnapshot};
-use crate::service::{batch_pair, completion_pair, BatchHandle, Done, ResponseHandle};
+use crate::service::{BatchHandle, Deadline, ResponseHandle, Slot};
 use crate::shard::Shard;
-use crate::transport::{ChannelTransport, Command, Reply, ShardId, Transport};
 use ft_bigint::BigInt;
 use ft_machine::detect::verdict_from;
 use ft_machine::{DetectorConfig, RankStatus};
@@ -49,6 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Identity of one shard: its index in the router's shard list
+/// (dense, `0..shards`).
+pub type ShardId = usize;
 
 /// SplitMix64: the same cheap mixer the fault-injection streams use.
 fn splitmix64(seed: u64) -> u64 {
@@ -103,7 +109,7 @@ struct MonitorClock {
 }
 
 struct RouterInner {
-    transport: Arc<dyn Transport>,
+    shards: Vec<Shard>,
     cfg: ShardConfig,
     states: parking_lot::RwLock<Vec<ShardState>>,
     shard_deaths: AtomicU64,
@@ -117,7 +123,7 @@ struct RouterInner {
 
 impl RouterInner {
     fn shard_count(&self) -> usize {
-        self.states.read().len()
+        self.shards.len()
     }
 
     fn live_shards(&self) -> Vec<ShardId> {
@@ -128,10 +134,7 @@ impl RouterInner {
     }
 
     fn depth(&self, shard: ShardId) -> usize {
-        match self.transport.send(shard, Command::QueueDepth) {
-            Reply::Depth(depth) => depth,
-            _ => usize::MAX,
-        }
+        self.shards[shard].queue_depth()
     }
 
     /// Routable shards for `key`, best owner first, optionally excluding
@@ -163,13 +166,14 @@ impl RouterInner {
 /// nothing enqueued (`done` drops, resolving its never-shared handle).
 /// Re-placements happen inside the completion callback of the previous
 /// shard: a surrendered request (`ServiceStopped` from a killed shard)
-/// re-routes to a survivor up to `max_failovers` times.
+/// re-routes to a survivor up to `max_failovers` times, still under
+/// `deadline`, which was fixed once at submission.
 fn route(
     inner: &Arc<RouterInner>,
     a: BigInt,
     b: BigInt,
-    deadline: Option<Duration>,
-    done: Done,
+    deadline: Deadline,
+    done: Slot,
     attempts: u32,
     exclude: Option<ShardId>,
 ) -> Result<(), SubmitError> {
@@ -192,16 +196,8 @@ fn route(
     }
     let mut queue_full: Option<SubmitError> = None;
     for shard in candidates {
-        let sent = inner.transport.send(
-            shard,
-            Command::Mul {
-                a: a.clone(),
-                b: b.clone(),
-                deadline,
-            },
-        );
-        match sent {
-            Reply::Pending(handle) => {
+        match inner.shards[shard].submit(a.clone(), b.clone(), deadline) {
+            Ok(handle) => {
                 let inner = inner.clone();
                 handle.on_ready(move |result| match result {
                     // The shard fail-stopped under this request before
@@ -216,11 +212,11 @@ fn route(
                         // every survivor refused admission.
                         let _ = route(&inner, a, b, deadline, done, attempts + 1, Some(shard));
                     }
-                    other => done.fulfill(other),
+                    other => done.fill(other),
                 });
                 return Ok(());
             }
-            Reply::Refused(error) => {
+            Err(error) => {
                 // Keep probing the remaining candidates; remember the
                 // strongest signal for the caller (QueueFull carries the
                 // backpressure semantics a front door turns into 429).
@@ -228,7 +224,6 @@ fn route(
                     queue_full = Some(error);
                 }
             }
-            _ => unreachable!("Mul replies are Pending or Refused"),
         }
     }
     Err(queue_full.unwrap_or(SubmitError::ShuttingDown))
@@ -261,14 +256,13 @@ pub struct Router {
 }
 
 impl Router {
-    /// Start `cfg.shards` fresh shards behind a router (the in-process
-    /// [`ChannelTransport`]).
+    /// Start `cfg.shards` fresh shards behind a router.
     #[must_use]
     pub fn start(cfg: ShardConfig) -> Router {
         let shards = (0..cfg.shards.max(1))
-            .map(|id| Shard::start(id, cfg.service.clone(), cfg.heartbeat_ms))
+            .map(|_| Shard::start(cfg.service.clone(), cfg.heartbeat_ms))
             .collect();
-        Router::with_transport(Arc::new(ChannelTransport::new(shards)), cfg)
+        Router::over(shards, cfg)
     }
 
     /// Wrap one already-running service as a single-shard topology — the
@@ -282,17 +276,15 @@ impl Router {
             service: service.config().clone(),
             ..ShardConfig::default()
         };
-        let shard = Shard::from_service(0, service, cfg.heartbeat_ms);
-        Router::with_transport(Arc::new(ChannelTransport::new(vec![shard])), cfg)
+        let shard = Shard::from_service(service, cfg.heartbeat_ms);
+        Router::over(vec![shard], cfg)
     }
 
-    /// Run the router over any [`Transport`] (the seam the simulated
-    /// machine plugs into via [`crate::transport::MachineTransport`]).
-    #[must_use]
-    pub fn with_transport(transport: Arc<dyn Transport>, cfg: ShardConfig) -> Router {
-        let n = transport.shards();
+    /// Route over `shards` and start the heartbeat monitor.
+    fn over(shards: Vec<Shard>, cfg: ShardConfig) -> Router {
+        let n = shards.len();
         let inner = Arc::new(RouterInner {
-            transport,
+            shards,
             cfg,
             states: parking_lot::RwLock::new(vec![ShardState::Live; n]),
             shard_deaths: AtomicU64::new(0),
@@ -322,68 +314,71 @@ impl Router {
 
     /// Submit `a × b` with no deadline.
     pub fn submit(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, None)
+        self.submit_inner(a, b, Deadline::None)
     }
 
-    /// Submit `a × b` under a deadline.
+    /// Submit `a × b` under a deadline. The deadline runs from this call
+    /// and is not renewed when the request fails over to another shard.
     pub fn submit_with_deadline(
         &self,
         a: BigInt,
         b: BigInt,
         deadline: Duration,
     ) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, Some(deadline))
+        self.submit_inner(a, b, Deadline::after(deadline))
     }
 
     fn submit_inner(
         &self,
         a: BigInt,
         b: BigInt,
-        deadline: Option<Duration>,
+        deadline: Deadline,
     ) -> Result<ResponseHandle, SubmitError> {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let (handle, guard) = completion_pair();
-        route(&self.inner, a, b, deadline, Done::Single(guard), 0, None)?;
+        let (handle, done) = ResponseHandle::new();
+        route(&self.inner, a, b, deadline, done, 0, None)?;
         Ok(handle)
     }
 
     /// Bulk submission: each pair routes (and fails over) independently,
     /// so one dead shard never poisons a whole batch; pairs that land on
     /// the same shard still coalesce in its dispatcher. A terminal
-    /// refusal for any pair refuses the whole submission (matching
-    /// [`crate::MulService::submit_many`]'s all-or-nothing admission).
+    /// refusal for any pair refuses the submission: the caller gets the
+    /// error and no handle, and no later pair is placed. Pairs placed
+    /// before the refusal still run, and their results are dropped.
     pub fn submit_many(&self, pairs: Vec<(BigInt, BigInt)>) -> Result<BatchHandle, SubmitError> {
-        self.submit_many_inner(pairs, None)
+        self.submit_many_inner(pairs, Deadline::None)
     }
 
-    /// [`Self::submit_many`] with one deadline covering every pair.
+    /// [`Self::submit_many`] with one deadline covering every pair, fixed
+    /// once at this call like [`Self::submit_with_deadline`]'s.
     pub fn submit_many_with_deadline(
         &self,
         pairs: Vec<(BigInt, BigInt)>,
         deadline: Duration,
     ) -> Result<BatchHandle, SubmitError> {
-        self.submit_many_inner(pairs, Some(deadline))
+        self.submit_many_inner(pairs, Deadline::after(deadline))
     }
 
     fn submit_many_inner(
         &self,
         pairs: Vec<(BigInt, BigInt)>,
-        deadline: Option<Duration>,
+        deadline: Deadline,
     ) -> Result<BatchHandle, SubmitError> {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let (handle, slots) = batch_pair(pairs.len());
+        let (handle, slots) = BatchHandle::new(pairs.len());
         let mut error = None;
-        for ((a, b), slot) in pairs.into_iter().zip(slots) {
+        for ((a, b), done) in pairs.into_iter().zip(slots) {
             if error.is_some() {
                 // Already refusing the submission; surrender the slot
                 // (drop resolves it) instead of enqueuing more work.
                 continue;
             }
-            if let Err(e) = route(&self.inner, a, b, deadline, Done::Slot(slot), 0, None) {
+            if let Err(e) = route(&self.inner, a, b, deadline, done, 0, None) {
                 error = Some(e);
             }
         }
@@ -398,10 +393,8 @@ impl Router {
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut merged = MetricsSnapshot::default();
-        for shard in 0..self.inner.shard_count() {
-            if let Reply::Metrics(snap) = self.inner.transport.send(shard, Command::Metrics) {
-                merged.merge(&snap);
-            }
+        for shard in &self.inner.shards {
+            merged.merge(&shard.metrics());
         }
         merged.router = self.router_snapshot();
         merged
@@ -471,12 +464,12 @@ impl Router {
     /// Fail-stop one shard (testing / operational drain). Death is still
     /// *detected* by the heartbeat monitor, not assumed from this call.
     pub fn kill_shard(&self, shard: ShardId) {
-        let _ = self.inner.transport.send(shard, Command::Kill);
+        self.inner.shards[shard].kill();
     }
 
     /// Stall one shard's heartbeats for `rounds` monitor rounds.
     pub fn stall_shard(&self, shard: ShardId, rounds: u64) {
-        let _ = self.inner.transport.send(shard, Command::Stall { rounds });
+        self.inner.shards[shard].stall(rounds);
     }
 
     /// The rendezvous owner a fresh `(a, b)` request would be placed on,
@@ -494,10 +487,8 @@ impl Router {
         self.inner.shutting_down.store(true, Ordering::Release);
         self.stop_monitor();
         let mut merged = MetricsSnapshot::default();
-        for shard in 0..self.inner.shard_count() {
-            if let Reply::Metrics(snap) = self.inner.transport.send(shard, Command::Shutdown) {
-                merged.merge(&snap);
-            }
+        for shard in &self.inner.shards {
+            merged.merge(&shard.shutdown());
         }
         merged.router = self.router_snapshot();
         merged
@@ -516,8 +507,8 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.inner.shutting_down.store(true, Ordering::Release);
         self.stop_monitor();
-        for shard in 0..self.inner.shard_count() {
-            let _ = self.inner.transport.send(shard, Command::Shutdown);
+        for shard in &self.inner.shards {
+            let _ = shard.shutdown();
         }
     }
 }
@@ -561,16 +552,9 @@ fn monitor_loop(inner: &Arc<RouterInner>) {
         if let Some(chaos) = &inner.cfg.service.chaos {
             for shard in 0..n {
                 match chaos.decide_shard(shard, round) {
-                    Some(crate::FaultKind::ShardKill) => {
-                        let _ = inner.transport.send(shard, Command::Kill);
-                    }
+                    Some(crate::FaultKind::ShardKill) => inner.shards[shard].kill(),
                     Some(crate::FaultKind::ShardStall) => {
-                        let _ = inner.transport.send(
-                            shard,
-                            Command::Stall {
-                                rounds: chaos.stall_rounds,
-                            },
-                        );
+                        inner.shards[shard].stall(chaos.stall_rounds);
                     }
                     _ => {}
                 }
@@ -581,11 +565,10 @@ fn monitor_loop(inner: &Arc<RouterInner>) {
         // same hb_total − hb_live shape the machine-level detector sees.
         let mut rows = Vec::with_capacity(n);
         for shard in 0..n {
-            if let Reply::Beats(beats) = inner.transport.send(shard, Command::Beats) {
-                if beats > last_beats[shard] || round == 1 {
-                    last_beats[shard] = beats;
-                    last_advance[shard] = round;
-                }
+            let beats = inner.shards[shard].beats();
+            if beats > last_beats[shard] || round == 1 {
+                last_beats[shard] = beats;
+                last_advance[shard] = round;
             }
             let lag = round - last_advance[shard];
             rows.push(RankStatus {

@@ -1,5 +1,5 @@
 //! The multiplication service: two execution lanes, each a bounded queue
-//! drained by one coalescing dispatcher thread, and the completion handles
+//! drained by one coalescing dispatcher thread, and the slot table
 //! clients wait on.
 //!
 //! Architecture: [`MulService::submit`] and [`MulService::submit_many`]
@@ -14,13 +14,16 @@
 //! Each lane runs the `dispatcher` module's loop on its own thread, which
 //! coalesces same-shape requests into one supervised batch. A bulk
 //! submission travels as one queue message to the lane of its largest
-//! operand and resolves through one shared [`BatchHandle`]. The split
-//! keeps a kilobit request from queueing behind a megabit Toom or NTT
-//! job, as the paper gives independent products their own processors.
-//! Both lanes read the *live* kernel policy, which the adaptive tuner
-//! (the `tuner` module) re-derives from the latency histogram at
-//! runtime; the tuner never moves the lane boundary. Shutdown drops the
-//! senders; each dispatcher drains what its lane accepted, then exits.
+//! operand. Every submission resolves through one slot table: a
+//! [`ResponseHandle`] reads its one slot, a [`BatchHandle`] its `n`
+//! slots, and the request side fills each slot exactly once through its
+//! write capability. The split keeps a kilobit request from queueing
+//! behind a megabit Toom or NTT job, as the paper gives independent
+//! products their own processors. Both lanes read the *live* kernel
+//! policy, which the adaptive tuner (the `tuner` module) re-derives from
+//! the latency histogram at runtime; the tuner never moves the lane
+//! boundary. Shutdown drops the senders; each dispatcher drains what its
+//! lane accepted, then exits.
 
 use crate::config::ServiceConfig;
 use crate::distributed::DistributedBackend;
@@ -32,165 +35,108 @@ use crate::supervisor::Supervisor;
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use ft_bigint::BigInt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 type Callback = Box<dyn FnOnce(Result<BigInt, MulError>) + Send>;
 
-#[derive(Default)]
-struct CompletionState {
-    result: Option<Result<BigInt, MulError>>,
-    callback: Option<Callback>,
-    done: bool,
+struct Table {
+    results: Vec<Option<Result<BigInt, MulError>>>,
+    /// Slots not yet filled.
+    remaining: usize,
+    /// Threads blocked on one particular slot (a streaming
+    /// [`BatchResults`]). While this is zero — the common, whole-table
+    /// case — a slot that is not the last lands silently, and the one
+    /// notify fires when the last slot lands.
+    slot_waiters: usize,
+    /// Registered by [`ResponseHandle::on_ready`] on a one-slot table:
+    /// the result goes to the callback instead of into the slot.
+    on_ready: Option<Callback>,
 }
 
-/// One-shot result slot shared between a lane dispatcher and a waiting
-/// client, resolvable either by blocking/polling or by a registered
-/// callback.
-#[derive(Default)]
-struct Completion {
-    state: Mutex<CompletionState>,
+impl Table {
+    /// Move every result out of a fully filled table.
+    fn take_all(&mut self) -> Vec<Result<BigInt, MulError>> {
+        self.results.drain(..).map(|r| r.expect("filled")).collect()
+    }
+}
+
+/// The results of one submission: `n` slots, each filled exactly once
+/// through its [`Slot`], read through one client handle — a
+/// [`ResponseHandle`] for one slot, a [`BatchHandle`] for `n`. A bulk
+/// submission's `n` requests share one allocation, one condvar sleep and
+/// one wake instead of `n` of each: the wait-side half of cross-request
+/// batching.
+struct SlotTable {
+    state: Mutex<Table>,
     ready: Condvar,
 }
 
-impl Completion {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CompletionState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+impl SlotTable {
+    fn new(len: usize) -> Arc<SlotTable> {
+        Arc::new(SlotTable {
+            state: Mutex::new(Table {
+                results: (0..len).map(|_| None).collect(),
+                remaining: len,
+                slot_waiters: 0,
+                on_ready: None,
+            }),
+            ready: Condvar::new(),
+        })
     }
 
-    fn fill(&self, result: Result<BigInt, MulError>) {
-        if self.store(result) {
-            self.ready.notify_all();
-        }
+    /// Every update under this lock leaves the table valid (callbacks run
+    /// outside it), so a poisoned lock is recovered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Publish `result` under the lock *without* waking a blocked waiter;
-    /// returns whether a notify is still owed. A registered callback runs
-    /// immediately (nothing sleeps on a callback completion).
-    fn store(&self, result: Result<BigInt, MulError>) -> bool {
+    /// Block until every slot is filled.
+    fn wait_all(&self) -> MutexGuard<'_, Table> {
         let mut state = self.lock();
-        if state.done {
-            return false;
+        while state.remaining > 0 {
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        state.done = true;
-        if let Some(callback) = state.callback.take() {
+        state
+    }
+
+    /// Block until slot `index` is filled, without waiting for the
+    /// others, and move its result out.
+    fn take(&self, index: usize) -> Result<BigInt, MulError> {
+        let mut state = self.lock();
+        loop {
+            if let Some(result) = state.results[index].take() {
+                return result;
+            }
+            state.slot_waiters += 1;
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.slot_waiters -= 1;
+        }
+    }
+
+    /// Fill slot `index`; returns whether the table's notify is now owed
+    /// (the last slot landed and no callback took it). A slot that is not
+    /// the last wakes per-slot waiters at once, so a streamed batch
+    /// yields early elements before the batch completes. A registered
+    /// callback runs here, outside the lock.
+    fn store(&self, index: usize, result: Result<BigInt, MulError>) -> bool {
+        let mut state = self.lock();
+        state.remaining -= 1;
+        if let Some(callback) = state.on_ready.take() {
             drop(state);
             // A panicking callback must not take down the service thread
             // that happened to resolve this request.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| callback(result)));
-            false
-        } else {
-            state.result = Some(result);
-            true
+            return false;
         }
-    }
-}
-
-/// A deferred wake-up for one staged completion (see
-/// [`CompletionGuard::stage`]). Dropping it delivers the notify, so a
-/// staged result can never strand its waiter.
-pub(crate) struct CompletionWaker {
-    completion: Arc<Completion>,
-}
-
-impl Drop for CompletionWaker {
-    fn drop(&mut self) {
-        self.completion.ready.notify_all();
-    }
-}
-
-/// Fills `ServiceStopped` on drop unless a real result was published
-/// first, so `ResponseHandle::wait` can never hang on a lost request
-/// (a panicking dispatcher, service drop mid-queue).
-pub(crate) struct CompletionGuard {
-    completion: Arc<Completion>,
-    fulfilled: bool,
-}
-
-impl CompletionGuard {
-    pub(crate) fn fulfill(mut self, result: Result<BigInt, MulError>) {
-        self.completion.fill(result);
-        self.fulfilled = true;
-    }
-
-    /// Publish the result but defer the waiter's wake-up to the returned
-    /// [`CompletionWaker`] (`None` when no notify is owed, e.g. a callback
-    /// completion). The batch dispatcher stages a whole round of results
-    /// first and wakes afterwards: each notify of a sleeping client is a
-    /// context switch that preempts the publishing thread, so waking
-    /// mid-publication turns a coalesced round back into per-request
-    /// ping-pong. A woken client instead finds every companion result
-    /// already readable and drains them without sleeping again.
-    pub(crate) fn stage(mut self, result: Result<BigInt, MulError>) -> Option<CompletionWaker> {
-        let owed = self.completion.store(result);
-        self.fulfilled = true;
-        owed.then(|| CompletionWaker {
-            completion: self.completion.clone(),
-        })
-    }
-}
-
-impl Drop for CompletionGuard {
-    fn drop(&mut self) {
-        if !self.fulfilled {
-            self.completion.fill(Err(MulError::ServiceStopped));
-        }
-    }
-}
-
-struct BatchState {
-    results: Vec<Option<Result<BigInt, MulError>>>,
-    remaining: usize,
-    /// Threads currently blocked in a per-slot wait
-    /// ([`BatchHandle::wait_slot`] or the streaming iterator). While this
-    /// is zero — the common, whole-batch case — slot arrivals stay
-    /// silent and the single batch-level notify fires when the last slot
-    /// lands.
-    slot_waiters: usize,
-}
-
-/// Shared result table for one bulk submission: every element fills its
-/// own slot; the waiter is woken once, when the last slot lands. This is
-/// the wait-side half of the cross-request batching story — `n` requests
-/// share one allocation, one condvar sleep, and one wake instead of `n`
-/// of each.
-struct BatchCompletion {
-    state: Mutex<BatchState>,
-    ready: Condvar,
-}
-
-impl BatchCompletion {
-    fn new(len: usize) -> BatchCompletion {
-        BatchCompletion {
-            state: Mutex::new(BatchState {
-                results: (0..len).map(|_| None).collect(),
-                remaining: len,
-                slot_waiters: 0,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BatchState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Fill one slot; returns whether that was the last outstanding slot
-    /// (i.e. the single batch-level notify is now owed). Wakes per-slot
-    /// waiters immediately even when other slots are still outstanding,
-    /// so [`BatchHandle::wait_slot`] resolves as soon as *its* slot
-    /// lands — early elements stream out before the batch completes.
-    fn store(&self, slot: usize, result: Result<BigInt, MulError>) -> bool {
-        let mut state = self.lock();
-        if state.results[slot].is_none() {
-            state.results[slot] = Some(result);
-            state.remaining -= 1;
-        }
+        state.results[index] = Some(result);
         let last = state.remaining == 0;
         if !last && state.slot_waiters > 0 {
             drop(state);
@@ -200,94 +146,67 @@ impl BatchCompletion {
     }
 }
 
-/// Deferred wake-up for a fully-filled batch (see [`CompletionWaker`]).
-pub(crate) struct BatchWaker {
-    completion: Arc<BatchCompletion>,
+/// The write capability for one slot of a submission's table. Filling it
+/// consumes it, so a slot resolves exactly once; dropped unfilled (a
+/// panicking dispatcher, a service dropped mid-queue, a refused
+/// submission) it resolves its slot as `ServiceStopped`, so no handle can
+/// hang on a lost request.
+pub(crate) struct Slot {
+    table: Arc<SlotTable>,
+    index: usize,
+    filled: bool,
 }
 
-impl Drop for BatchWaker {
+impl Slot {
+    fn new(table: &Arc<SlotTable>, index: usize) -> Slot {
+        Slot {
+            table: table.clone(),
+            index,
+            filled: false,
+        }
+    }
+
+    pub(crate) fn fill(mut self, result: Result<BigInt, MulError>) {
+        if self.publish(result) {
+            self.table.ready.notify_all();
+        }
+    }
+
+    /// Publish the result but defer the waiter's wake-up to the returned
+    /// [`Waker`] (`None` when no notify is owed: other slots are still
+    /// outstanding, or a callback took the result). The batch dispatcher
+    /// stages a whole round of results first and wakes afterwards: each
+    /// notify of a sleeping client is a context switch that preempts the
+    /// publishing thread, so waking mid-publication turns a coalesced
+    /// round back into per-request ping-pong. A woken client instead
+    /// finds every companion result already readable and drains them
+    /// without sleeping again.
+    pub(crate) fn stage(mut self, result: Result<BigInt, MulError>) -> Option<Waker> {
+        self.publish(result).then(|| Waker(self.table.clone()))
+    }
+
+    fn publish(&mut self, result: Result<BigInt, MulError>) -> bool {
+        self.filled = true;
+        self.table.store(self.index, result)
+    }
+}
+
+impl Drop for Slot {
     fn drop(&mut self) {
-        self.completion.ready.notify_all();
-    }
-}
-
-/// One element's write capability into a [`BatchCompletion`]. Mirrors
-/// [`CompletionGuard`]: dropping it unfulfilled resolves the slot as
-/// `ServiceStopped`, so [`BatchHandle::wait`] can never hang on a lost
-/// request.
-pub(crate) struct BatchSlotGuard {
-    completion: Arc<BatchCompletion>,
-    slot: usize,
-    fulfilled: bool,
-}
-
-impl BatchSlotGuard {
-    fn fulfill(mut self, result: Result<BigInt, MulError>) {
-        if self.completion.store(self.slot, result) {
-            self.completion.ready.notify_all();
+        if !self.filled && self.publish(Err(MulError::ServiceStopped)) {
+            self.table.ready.notify_all();
         }
-        self.fulfilled = true;
-    }
-
-    fn stage(mut self, result: Result<BigInt, MulError>) -> Option<BatchWaker> {
-        let last = self.completion.store(self.slot, result);
-        self.fulfilled = true;
-        last.then(|| BatchWaker {
-            completion: self.completion.clone(),
-        })
     }
 }
 
-impl Drop for BatchSlotGuard {
+/// A deferred wake-up for one staged slot (see [`Slot::stage`]). Dropping
+/// it delivers the notify, so a staged result can never strand its
+/// waiter.
+pub(crate) struct Waker(Arc<SlotTable>);
+
+impl Drop for Waker {
     fn drop(&mut self) {
-        if !self.fulfilled {
-            let mut state = self.completion.lock();
-            if state.results[self.slot].is_none() {
-                state.results[self.slot] = Some(Err(MulError::ServiceStopped));
-                state.remaining -= 1;
-                if state.remaining == 0 || state.slot_waiters > 0 {
-                    drop(state);
-                    self.completion.ready.notify_all();
-                }
-            }
-        }
-    }
-}
-
-/// How one request publishes its result: through its own
-/// [`Completion`] (per-request submits) or through one slot of a shared
-/// [`BatchCompletion`] (bulk submits).
-pub(crate) enum Done {
-    Single(CompletionGuard),
-    Slot(BatchSlotGuard),
-}
-
-/// A deferred notify from [`Done::stage`] — either kind wakes when the
-/// held waker drops.
-pub(crate) enum DoneWaker {
-    Single { _waker: CompletionWaker },
-    Batch { _waker: BatchWaker },
-}
-
-impl Done {
-    pub(crate) fn fulfill(self, result: Result<BigInt, MulError>) {
-        match self {
-            Done::Single(guard) => guard.fulfill(result),
-            Done::Slot(guard) => guard.fulfill(result),
-        }
-    }
-
-    /// Publish without waking; see [`CompletionGuard::stage`]. A batch
-    /// slot defers its (single, batch-level) notify the same way.
-    pub(crate) fn stage(self, result: Result<BigInt, MulError>) -> Option<DoneWaker> {
-        match self {
-            Done::Single(guard) => guard
-                .stage(result)
-                .map(|waker| DoneWaker::Single { _waker: waker }),
-            Done::Slot(guard) => guard
-                .stage(result)
-                .map(|waker| DoneWaker::Batch { _waker: waker }),
-        }
+        self.0.ready.notify_all();
     }
 }
 
@@ -295,14 +214,23 @@ impl Done {
 /// ([`MulService::submit_many`]): resolves to one result per submitted
 /// pair, in submission order.
 pub struct BatchHandle {
-    completion: Arc<BatchCompletion>,
+    table: Arc<SlotTable>,
 }
 
 impl BatchHandle {
+    /// A handle over `len` fresh slots plus the write capability for
+    /// each, detached from any queue — the router resolves each slot
+    /// through its own routed (and possibly re-routed) sub-request.
+    pub(crate) fn new(len: usize) -> (BatchHandle, Vec<Slot>) {
+        let table = SlotTable::new(len);
+        let slots = (0..len).map(|index| Slot::new(&table, index)).collect();
+        (BatchHandle { table }, slots)
+    }
+
     /// How many pairs this submission carries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.completion.lock().results.len()
+        self.table.lock().results.len()
     }
 
     /// Whether the submission was empty.
@@ -314,69 +242,27 @@ impl BatchHandle {
     /// Block until every element resolves; results are in submission
     /// order.
     pub fn wait(self) -> Vec<Result<BigInt, MulError>> {
-        let mut state = self.completion.lock();
-        while state.remaining > 0 {
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        state
-            .results
-            .drain(..)
-            .map(|r| r.expect("filled"))
-            .collect()
+        let results = self.table.wait_all().take_all();
+        results
     }
 
     /// Non-blocking poll; `Err(self)` while any element is pending.
     pub fn try_wait(self) -> Result<Vec<Result<BigInt, MulError>>, BatchHandle> {
-        let mut state = self.completion.lock();
+        let mut state = self.table.lock();
         if state.remaining > 0 {
             drop(state);
             return Err(self);
         }
-        let results = state
-            .results
-            .drain(..)
-            .map(|r| r.expect("filled"))
-            .collect();
+        let results = state.take_all();
         drop(state);
         Ok(results)
-    }
-
-    /// Block until element `slot` (submission order) resolves, without
-    /// waiting for its batch-mates — early elements of a large bulk
-    /// submission stream out while later ones are still grinding. The
-    /// handle stays usable: `wait_slot` can be called repeatedly, in any
-    /// order, and [`Self::wait`] afterwards still returns every result.
-    ///
-    /// # Panics
-    /// If `slot >= self.len()`.
-    pub fn wait_slot(&self, slot: usize) -> Result<BigInt, MulError> {
-        let mut state = self.completion.lock();
-        assert!(
-            slot < state.results.len(),
-            "slot {slot} out of range for batch of {}",
-            state.results.len()
-        );
-        while state.results[slot].is_none() {
-            state.slot_waiters += 1;
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.slot_waiters -= 1;
-        }
-        state.results[slot].clone().expect("checked above")
     }
 }
 
 /// Streaming consumer of a [`BatchHandle`]: yields each element's result
 /// in submission order, blocking only until *that* element resolves.
 pub struct BatchResults {
-    completion: Arc<BatchCompletion>,
+    table: Arc<SlotTable>,
     next: usize,
     len: usize,
 }
@@ -388,20 +274,9 @@ impl Iterator for BatchResults {
         if self.next >= self.len {
             return None;
         }
-        let slot = self.next;
         self.next += 1;
-        let mut state = self.completion.lock();
-        while state.results[slot].is_none() {
-            state.slot_waiters += 1;
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.slot_waiters -= 1;
-        }
         // The iterator owns the handle, so the slot can be moved out.
-        Some(state.results[slot].take().expect("checked above"))
+        Some(self.table.take(self.next - 1))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -421,7 +296,7 @@ impl IntoIterator for BatchHandle {
     fn into_iter(self) -> BatchResults {
         let len = self.len();
         BatchResults {
-            completion: self.completion,
+            table: self.table,
             next: 0,
             len,
         }
@@ -430,28 +305,27 @@ impl IntoIterator for BatchHandle {
 
 /// Client-side handle to one accepted request.
 pub struct ResponseHandle {
-    completion: Arc<Completion>,
+    table: Arc<SlotTable>,
 }
 
 impl ResponseHandle {
+    /// A handle over one fresh slot plus its write capability — the
+    /// router's building block: it hands the handle to the client once,
+    /// keeps the slot, and moves it between shards as it fails work over.
+    pub(crate) fn new() -> (ResponseHandle, Slot) {
+        let table = SlotTable::new(1);
+        let slot = Slot::new(&table, 0);
+        (ResponseHandle { table }, slot)
+    }
+
     /// Block until the request resolves.
     pub fn wait(self) -> Result<BigInt, MulError> {
-        let mut state = self.completion.lock();
-        loop {
-            if let Some(result) = state.result.take() {
-                return result;
-            }
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        self.table.take(0)
     }
 
     /// Non-blocking poll; `Err(self)` when the request is still pending.
     pub fn try_wait(self) -> Result<Result<BigInt, MulError>, ResponseHandle> {
-        let taken = self.completion.lock().result.take();
+        let taken = self.table.lock().results[0].take();
         match taken {
             Some(result) => Ok(result),
             None => Err(self),
@@ -464,31 +338,26 @@ impl ResponseHandle {
         self,
         timeout: Duration,
     ) -> Result<Result<BigInt, MulError>, ResponseHandle> {
-        let completion = self.completion.clone();
-        let deadline = Instant::now().checked_add(timeout);
-        let mut state = completion.lock();
+        // An overflowing deadline (e.g. Duration::MAX) waits forever.
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Ok(self.wait());
+        };
+        let mut state = self.table.lock();
         loop {
-            if let Some(result) = state.result.take() {
+            if let Some(result) = state.results[0].take() {
                 return Ok(result);
             }
-            // An overflowing deadline (e.g. Duration::MAX) waits forever.
-            let Some(deadline) = deadline else {
-                state = completion
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                continue;
-            };
             let now = Instant::now();
             if now >= deadline {
                 drop(state);
                 return Err(self);
             }
-            let (guard, _) = completion
+            state = self
+                .table
                 .ready
                 .wait_timeout(state, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = guard;
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -501,12 +370,12 @@ impl ResponseHandle {
     where
         F: FnOnce(Result<BigInt, MulError>) + Send + 'static,
     {
-        let mut state = self.completion.lock();
-        if let Some(result) = state.result.take() {
+        let mut state = self.table.lock();
+        if let Some(result) = state.results[0].take() {
             drop(state);
             callback(result);
         } else {
-            state.callback = Some(Box::new(callback));
+            state.on_ready = Some(Box::new(callback));
         }
     }
 }
@@ -515,6 +384,8 @@ impl ResponseHandle {
 /// `Duration::MAX`) saturates to `Far` — it can never expire, but unlike
 /// `None` it still marks the request as deadline-carrying, so load
 /// shedding (which only applies to deadline-less requests) skips it.
+/// Absolute, so a request that fails over to another shard keeps the
+/// deadline its client set.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Deadline {
     /// No deadline requested; the request is sheddable under load.
@@ -526,7 +397,7 @@ pub(crate) enum Deadline {
 }
 
 impl Deadline {
-    fn after(timeout: Duration) -> Deadline {
+    pub(crate) fn after(timeout: Duration) -> Deadline {
         Instant::now()
             .checked_add(timeout)
             .map_or(Deadline::Far, Deadline::At)
@@ -549,7 +420,7 @@ pub(crate) struct MulRequest {
     pub(crate) index: u64,
     pub(crate) deadline: Deadline,
     pub(crate) enqueued_at: Instant,
-    pub(crate) done: Done,
+    pub(crate) done: Slot,
 }
 
 /// One message on a lane's queue: a single request, or a whole bulk
@@ -569,20 +440,20 @@ pub(crate) struct BatchJob {
     pub(crate) first_index: u64,
     pub(crate) deadline: Deadline,
     pub(crate) enqueued_at: Instant,
-    pub(crate) slots: Vec<BatchSlotGuard>,
+    pub(crate) slots: Vec<Slot>,
 }
 
 impl BatchJob {
     /// Explode into per-request entries (dispatcher side).
     pub(crate) fn explode(self, round: &mut Vec<MulRequest>) {
-        for (offset, ((a, b), slot)) in self.pairs.into_iter().zip(self.slots).enumerate() {
+        for (offset, ((a, b), done)) in self.pairs.into_iter().zip(self.slots).enumerate() {
             round.push(MulRequest {
                 a,
                 b,
                 index: self.first_index + offset as u64,
                 deadline: self.deadline,
                 enqueued_at: self.enqueued_at,
-                done: Done::Slot(slot),
+                done,
             });
         }
     }
@@ -733,21 +604,24 @@ impl MulService {
         self.submit_one(a, b, Deadline::after(deadline))
     }
 
-    fn submit_one(
+    /// The one single-request path: [`Self::submit`],
+    /// [`Self::submit_with_deadline`] and a shard's placements all enqueue
+    /// here, the latter with the absolute deadline its router fixed once.
+    pub(crate) fn submit_one(
         &self,
         a: BigInt,
         b: BigInt,
         deadline: Deadline,
     ) -> Result<ResponseHandle, SubmitError> {
         let bits = a.bit_length().max(b.bit_length());
-        let (handle, guard) = completion_pair();
+        let (handle, done) = ResponseHandle::new();
         let request = MulRequest {
             a,
             b,
             index: self.seq.fetch_add(1, Ordering::Relaxed),
             deadline,
             enqueued_at: Instant::now(),
-            done: Done::Single(guard),
+            done,
         };
         self.enqueue(bits, Submission::One(request))?;
         Ok(handle)
@@ -757,7 +631,7 @@ impl MulService {
     /// the largest operand and resolve them through one shared
     /// [`BatchHandle`]. This is the cross-request batching entry point —
     /// relative to `pairs.len()` calls of [`Self::submit`] it pays the
-    /// channel lock, the enqueue timestamp, the completion allocation,
+    /// channel lock, the enqueue timestamp, the slot-table allocation,
     /// and the client's blocking wait once per *batch* instead of once
     /// per request, mirroring the paper's per-batch (not
     /// per-multiplication) bandwidth/latency accounting. Elements still
@@ -787,7 +661,7 @@ impl MulService {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let (handle, slots) = batch_pair(pairs.len());
+        let (handle, slots) = BatchHandle::new(pairs.len());
         let Some(bits) = pairs
             .iter()
             .map(|(a, b)| a.bit_length().max(b.bit_length()))
@@ -804,8 +678,8 @@ impl MulService {
             enqueued_at: Instant::now(),
             slots,
         };
-        // A rejected job's slot guards resolve the handle as
-        // ServiceStopped on drop; the caller only sees the error.
+        // A rejected job's slots resolve the handle as ServiceStopped on
+        // drop; the caller only sees the error.
         self.enqueue(bits, Submission::Many(job))?;
         Ok(handle)
     }
@@ -916,42 +790,6 @@ impl Drop for MulService {
     }
 }
 
-/// A fresh client handle / write capability pair over one new
-/// [`Completion`] — the router's building block: it hands the handle to
-/// the client once, keeps the guard, and moves the guard between shards
-/// as it fails work over.
-pub(crate) fn completion_pair() -> (ResponseHandle, CompletionGuard) {
-    let completion = Arc::new(Completion::default());
-    let guard = CompletionGuard {
-        completion: completion.clone(),
-        fulfilled: false,
-    };
-    (ResponseHandle { completion }, guard)
-}
-
-/// A batch handle plus its per-slot write capabilities, detached from
-/// any queue — the router resolves each slot through its own routed
-/// (and possibly re-routed) sub-request.
-pub(crate) fn batch_pair(len: usize) -> (BatchHandle, Vec<BatchSlotGuard>) {
-    let completion = Arc::new(BatchCompletion::new(len));
-    let slots = (0..len)
-        .map(|slot| BatchSlotGuard {
-            completion: completion.clone(),
-            slot,
-            fulfilled: false,
-        })
-        .collect();
-    (BatchHandle { completion }, slots)
-}
-
-/// A handle that is already resolved — synchronous transports (the
-/// simulated coded machine) compute inline and wrap the result.
-pub(crate) fn resolved_handle(result: Result<BigInt, MulError>) -> ResponseHandle {
-    let completion = Arc::new(Completion::default());
-    completion.fill(result);
-    ResponseHandle { completion }
-}
-
 /// Apply the pre-execution admission checks: reject a request whose
 /// deadline has already passed (counted `timed_out` — this includes the
 /// race where the deadline expires between dequeue and this check), shed
@@ -963,7 +801,7 @@ pub(crate) fn gate(request: MulRequest, now: Instant, shared: &Shared) -> Option
     if shared.killed.load(Ordering::Acquire) {
         // Simulated fail-stop: unstarted work is surrendered, not served.
         // The router's completion callback re-routes it to a live shard.
-        request.done.fulfill(Err(MulError::ServiceStopped));
+        request.done.fill(Err(MulError::ServiceStopped));
         return None;
     }
     let waited = now.saturating_duration_since(request.enqueued_at);
@@ -971,14 +809,14 @@ pub(crate) fn gate(request: MulRequest, now: Instant, shared: &Shared) -> Option
         shared.metrics.add(Stat::TimedOut, 1);
         request
             .done
-            .fulfill(Err(MulError::DeadlineExceeded { waited }));
+            .fill(Err(MulError::DeadlineExceeded { waited }));
         return None;
     }
     if request.deadline.sheddable() {
         if let Some(shed_after_ms) = shared.config.shed_after_ms {
             if waited > Duration::from_millis(shed_after_ms) {
                 shared.metrics.add(Stat::Shed, 1);
-                request.done.fulfill(Err(MulError::Shed { waited }));
+                request.done.fill(Err(MulError::Shed { waited }));
                 return None;
             }
         }
@@ -1005,9 +843,9 @@ pub(crate) fn execute_single(request: MulRequest, shared: &Shared) {
             shared
                 .metrics
                 .record_served(kernel, bits, request.enqueued_at.elapsed());
-            request.done.fulfill(Ok(product));
+            request.done.fill(Ok(product));
         }
-        Err(error) => request.done.fulfill(Err(error)),
+        Err(error) => request.done.fill(Err(error)),
     }
 }
 
@@ -1579,7 +1417,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_slot_resolves_before_the_batch_completes() {
+    fn streamed_slot_resolves_before_the_batch_completes() {
         let config = ServiceConfig {
             kernel_policy: blocker_policy(),
             ..ServiceConfig::default()
@@ -1590,23 +1428,22 @@ mod tests {
         let big = BigInt::random_bits(&mut rng, 400_000);
         // Different size classes: the dispatcher executes the tiny
         // element's group before the 400kbit blocker's, so slot 0 lands
-        // seconds before slot 1.
-        let handle = service
+        // long before slot 1.
+        let mut stream = service
             .submit_many(vec![
                 (tiny.clone(), tiny.clone()),
                 (big.clone(), big.clone()),
             ])
-            .unwrap();
-        assert_eq!(handle.wait_slot(0).unwrap(), tiny.mul_schoolbook(&tiny));
-        let handle = match handle.try_wait() {
-            Err(handle) => handle,
-            Ok(r) => panic!("400kbit batch-mate finished with its tiny peer: {r:?}"),
-        };
-        // wait_slot is repeatable and leaves the whole-batch wait intact.
-        assert_eq!(handle.wait_slot(0).unwrap(), tiny.mul_schoolbook(&tiny));
-        let results = handle.wait();
-        assert_eq!(results[0].clone().unwrap(), tiny.mul_schoolbook(&tiny));
-        assert_eq!(results[1].clone().unwrap(), big.mul_schoolbook(&big));
+            .unwrap()
+            .into_iter();
+        assert_eq!(stream.next().unwrap().unwrap(), tiny.mul_schoolbook(&tiny));
+        assert_eq!(
+            service.metrics().served,
+            1,
+            "slot 0 streamed out while its 400kbit batch-mate was still running"
+        );
+        assert_eq!(stream.next().unwrap().unwrap(), big.mul_schoolbook(&big));
+        assert!(stream.next().is_none());
         service.shutdown();
     }
 

@@ -1,5 +1,7 @@
 //! One shard of the sharded topology: a full [`MulService`] plus the
-//! service-level heartbeat the router's monitor samples.
+//! service-level heartbeat the router's monitor samples. The router
+//! holds its shards in a `Vec`, indexed by [`ShardId`](crate::ShardId),
+//! and calls them directly.
 //!
 //! The heartbeat is a lazily-computed monotone counter: while the shard
 //! is live it advances once per `heartbeat_ms` of wall clock. A *kill*
@@ -13,8 +15,7 @@
 use crate::config::ServiceConfig;
 use crate::error::SubmitError;
 use crate::metrics::MetricsSnapshot;
-use crate::service::{MulService, ResponseHandle};
-use crate::transport::ShardId;
+use crate::service::{Deadline, MulService, ResponseHandle};
 use ft_bigint::BigInt;
 use std::time::{Duration, Instant};
 
@@ -25,9 +26,8 @@ struct BeatState {
     until: Option<Instant>,
 }
 
-/// A [`MulService`] with a shard identity and a heartbeat.
-pub struct Shard {
-    id: ShardId,
+/// A [`MulService`] with a heartbeat.
+pub(crate) struct Shard {
     service: parking_lot::RwLock<Option<MulService>>,
     started_at: Instant,
     heartbeat: Duration,
@@ -36,17 +36,14 @@ pub struct Shard {
 
 impl Shard {
     /// Start a fresh shard: a new service plus a beating heart.
-    #[must_use]
-    pub fn start(id: ShardId, config: ServiceConfig, heartbeat_ms: u64) -> Shard {
-        Shard::from_service(id, MulService::start(config), heartbeat_ms)
+    pub(crate) fn start(config: ServiceConfig, heartbeat_ms: u64) -> Shard {
+        Shard::from_service(MulService::start(config), heartbeat_ms)
     }
 
     /// Wrap an already-running service (the single-shard compatibility
     /// path: an unsharded `MulService` becomes a one-shard topology).
-    #[must_use]
-    pub fn from_service(id: ShardId, service: MulService, heartbeat_ms: u64) -> Shard {
+    pub(crate) fn from_service(service: MulService, heartbeat_ms: u64) -> Shard {
         Shard {
-            id,
             service: parking_lot::RwLock::new(Some(service)),
             started_at: Instant::now(),
             heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
@@ -57,12 +54,6 @@ impl Shard {
         }
     }
 
-    /// This shard's identity.
-    #[must_use]
-    pub fn id(&self) -> ShardId {
-        self.id
-    }
-
     /// Beats elapsed on the wall clock since the shard started.
     fn wall_beats(&self) -> u64 {
         let elapsed = self.started_at.elapsed();
@@ -71,8 +62,7 @@ impl Shard {
 
     /// The heartbeat counter: monotone while live, frozen while stalled,
     /// frozen forever once killed.
-    #[must_use]
-    pub fn beats(&self) -> u64 {
+    pub(crate) fn beats(&self) -> u64 {
         let mut state = self.beat_state.lock();
         match state.frozen {
             None => self.wall_beats(),
@@ -93,7 +83,7 @@ impl Shard {
     /// Fail-stop the shard: freeze the heartbeat forever and surrender
     /// unstarted work (see [`MulService::kill`]). Idempotent; a kill
     /// overrides any stall in progress.
-    pub fn kill(&self) {
+    pub(crate) fn kill(&self) {
         {
             let mut state = self.beat_state.lock();
             let frozen = state.frozen.unwrap_or_else(|| self.wall_beats());
@@ -107,7 +97,7 @@ impl Shard {
 
     /// Withhold heartbeats for `rounds` beat periods while the shard
     /// keeps serving. A kill in progress is not downgraded.
-    pub fn stall(&self, rounds: u64) {
+    pub(crate) fn stall(&self, rounds: u64) {
         let mut state = self.beat_state.lock();
         if state.frozen.is_some() && state.until.is_none() {
             return; // killed: stays dead
@@ -118,34 +108,24 @@ impl Shard {
             Some(Instant::now() + self.heartbeat * u32::try_from(rounds).unwrap_or(u32::MAX));
     }
 
-    /// Whether the shard was fail-stopped.
-    #[must_use]
-    pub fn is_killed(&self) -> bool {
-        let state = self.beat_state.lock();
-        state.frozen.is_some() && state.until.is_none()
-    }
-
     /// Submit one multiplication to the shard's service, which queues it
-    /// in the lane its operand sizes pick.
-    pub fn submit(
+    /// in the lane its operand sizes pick. `deadline` is absolute: a
+    /// failed-over request keeps the one its client set.
+    pub(crate) fn submit(
         &self,
         a: BigInt,
         b: BigInt,
-        deadline: Option<Duration>,
+        deadline: Deadline,
     ) -> Result<ResponseHandle, SubmitError> {
         match self.service.read().as_ref() {
             None => Err(SubmitError::ShuttingDown),
-            Some(service) => match deadline {
-                None => service.submit(a, b),
-                Some(d) => service.submit_with_deadline(a, b, d),
-            },
+            Some(service) => service.submit_one(a, b, deadline),
         }
     }
 
     /// Current queue depth, summed over the service's two lanes
     /// (`usize::MAX` once the shard has shut down).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.service
             .read()
             .as_ref()
@@ -153,28 +133,16 @@ impl Shard {
     }
 
     /// Point-in-time metrics of the underlying service.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
         self.service
             .read()
             .as_ref()
             .map_or_else(MetricsSnapshot::default, MulService::metrics)
     }
 
-    /// The service configuration this shard runs.
-    #[must_use]
-    pub fn config(&self) -> ServiceConfig {
-        self.service
-            .read()
-            .as_ref()
-            .map(|s| s.config().clone())
-            .unwrap_or_default()
-    }
-
     /// Drain accepted work, stop the service, and return final metrics.
     /// Idempotent: a second call returns an empty snapshot.
-    #[must_use]
-    pub fn shutdown(&self) -> MetricsSnapshot {
+    pub(crate) fn shutdown(&self) -> MetricsSnapshot {
         let service = self.service.write().take();
         service.map_or_else(MetricsSnapshot::default, MulService::shutdown)
     }
@@ -191,20 +159,28 @@ mod tests {
         }
     }
 
+    /// Whether a kill reached the shard's service.
+    fn service_killed(shard: &Shard) -> bool {
+        shard
+            .service
+            .read()
+            .as_ref()
+            .is_some_and(MulService::is_killed)
+    }
+
     #[test]
     fn beats_advance_then_freeze_on_kill() {
-        let shard = Shard::start(0, tiny_config(), 5);
-        assert_eq!(shard.id(), 0);
+        let shard = Shard::start(tiny_config(), 5);
         let first = shard.beats();
         std::thread::sleep(Duration::from_millis(20));
         assert!(shard.beats() > first, "live shard beats advance");
         shard.kill();
-        assert!(shard.is_killed());
+        assert!(service_killed(&shard));
         let frozen = shard.beats();
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(shard.beats(), frozen, "killed shard is silent forever");
         assert!(matches!(
-            shard.submit(BigInt::one(), BigInt::one(), None),
+            shard.submit(BigInt::one(), BigInt::one(), Deadline::None),
             Err(SubmitError::ShuttingDown)
         ));
         let _ = shard.shutdown();
@@ -212,7 +188,7 @@ mod tests {
 
     #[test]
     fn stalled_beats_resume_and_jump_forward() {
-        let shard = Shard::start(1, tiny_config(), 5);
+        let shard = Shard::start(tiny_config(), 5);
         shard.stall(3); // ~15 ms of silence
         let frozen = shard.beats();
         std::thread::sleep(Duration::from_millis(5));
@@ -220,11 +196,11 @@ mod tests {
         // The shard still serves while silent.
         let a: BigInt = "12345678901234567890".parse().unwrap();
         let b: BigInt = "98765432109876543210".parse().unwrap();
-        let handle = shard.submit(a.clone(), b.clone(), None).unwrap();
+        let handle = shard.submit(a.clone(), b.clone(), Deadline::None).unwrap();
         assert_eq!(handle.wait().unwrap(), a.mul_schoolbook(&b));
         std::thread::sleep(Duration::from_millis(25));
         assert!(shard.beats() > frozen, "beats resume after the window");
-        assert!(!shard.is_killed());
+        assert!(!service_killed(&shard));
         let snap = shard.shutdown();
         assert_eq!(snap.served, 1);
         // Idempotent shutdown.

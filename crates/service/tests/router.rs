@@ -125,17 +125,27 @@ fn shard_death_is_detected_and_survived_by_failover() {
     let blocker_want = blocker_a.mul_schoolbook(&blocker_b);
     let blocker = router.submit(blocker_a, blocker_b).unwrap();
     // Let the victim's big lane pick the blocker up, then pile
-    // same-class (same-owner) work behind it and kill at once.
+    // same-class (same-owner) work behind it and kill at once: three
+    // pairs one by one, three as one bulk submission, whose slots each
+    // fail over on their own.
     std::thread::sleep(Duration::from_millis(30));
     let mut pending = Vec::new();
-    for (a, b, want) in queued {
+    let mut bulk = Vec::new();
+    let mut bulk_want = Vec::new();
+    for (i, (a, b, want)) in queued.into_iter().enumerate() {
         assert_eq!(
             router.owner_of(&a, &b),
             Some(victim),
             "same class, same owner"
         );
-        pending.push((router.submit(a, b).unwrap(), want));
+        if i < 3 {
+            pending.push((router.submit(a, b).unwrap(), want));
+        } else {
+            bulk.push((a, b));
+            bulk_want.push(want);
+        }
     }
+    let bulk = router.submit_many(bulk).unwrap();
     router.kill_shard(victim);
     // Death is *detected* by the heartbeat monitor, not assumed.
     wait_for_state(&router, victim, ShardState::Dead);
@@ -143,6 +153,11 @@ fn shard_death_is_detected_and_survived_by_failover() {
     // Every queued request fails over to a survivor and completes.
     for (handle, want) in pending {
         assert_eq!(handle.wait().expect("failover must complete"), want);
+    }
+    let bulk = bulk.wait();
+    assert_eq!(bulk.len(), 3);
+    for (result, want) in bulk.into_iter().zip(bulk_want) {
+        assert_eq!(result.expect("bulk failover must complete"), want);
     }
     // The started request rode the dying shard to completion.
     assert_eq!(blocker.wait().unwrap(), blocker_want);
@@ -161,6 +176,64 @@ fn shard_death_is_detected_and_survived_by_failover() {
     );
     assert_eq!(snap.served, 8, "zero lost requests");
     assert_eq!(snap.verify.residue_failures, 0);
+}
+
+/// A request that fails over keeps the deadline its client set. The pair
+/// waits on the victim's big lane behind a blocker until its 40 ms
+/// deadline has passed; the victim is killed and surrenders it when the
+/// blocker ends. The survivor must resolve it as `DeadlineExceeded`, not
+/// serve it under a fresh 40 ms, which over HTTP would turn a 504 into a
+/// 200.
+#[test]
+fn failover_keeps_the_original_deadline() {
+    let router = Router::start(topology(
+        2,
+        ServiceConfig {
+            kernel_policy: schoolbook_only(),
+            ..ServiceConfig::default()
+        },
+    ));
+    let mut rng = StdRng::seed_from_u64(53);
+    let blocker_a = BigInt::random_signed_bits(&mut rng, 600_000);
+    let blocker_b = BigInt::random_signed_bits(&mut rng, 600_000);
+    let victim = router.owner_of(&blocker_a, &blocker_b).unwrap();
+    // A big-lane pair whose size class the victim also owns.
+    let (a, b) = (30_000..=280_000)
+        .step_by(10_000)
+        .map(|bits| {
+            (
+                BigInt::random_signed_bits(&mut rng, bits),
+                BigInt::random_signed_bits(&mut rng, bits),
+            )
+        })
+        .find(|(a, b)| router.owner_of(a, b) == Some(victim))
+        .expect("the victim owns a size class between 30 and 280 kbit");
+    let blocker = router.submit(blocker_a, blocker_b).unwrap();
+    // Wait until the victim's big lane has closed the blocker's round and
+    // started it, so that the pair queues behind the blocker rather than
+    // joining its round.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while router.metrics().batches == 0 {
+        assert!(Instant::now() < give_up, "the blocker never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let doomed = router
+        .submit_with_deadline(a, b, Duration::from_millis(40))
+        .unwrap();
+    router.kill_shard(victim);
+    match doomed.wait() {
+        Err(MulError::DeadlineExceeded { .. }) => {}
+        Ok(_) => panic!("the failed-over pair was served past its deadline"),
+        Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert!(blocker.wait().is_ok(), "the started blocker completes");
+    let snap = router.shutdown();
+    assert!(
+        snap.router.failovers >= 1,
+        "the pair failed over: {:?}",
+        snap.router
+    );
+    assert_eq!(snap.timed_out, 1);
 }
 
 /// The chaos injector's shard faults fire deterministically from the
