@@ -15,12 +15,11 @@
 //! run is exactly reproducible for a given seed regardless of thread
 //! scheduling. Config is JSON-loadable like `KernelPolicy`.
 
-use crate::config::ConfigError;
+use crate::config::{invalid, join, named, options, required, section, ConfigError, Object, Value};
 use crate::json::{obj, Json};
 use ft_bigint::{BigInt, Sign};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Panic message carried by injected hard faults; the supervisor and the
@@ -79,14 +78,10 @@ impl FaultKind {
     pub fn is_shard_fault(self) -> bool {
         matches!(self, FaultKind::ShardKill | FaultKind::ShardStall)
     }
-
-    fn from_name(name: &str) -> Option<FaultKind> {
-        FaultKind::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
 /// How an injected soft fault corrupts a product.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CorruptionKind {
     /// Flip one pseudo-random bit of one limb. Deterministically caught by
     /// the residue spot-check (the delta `c · 2^{64i}` with `0 < |c| < 2^64`
@@ -114,66 +109,59 @@ impl CorruptionKind {
         }
     }
 
-    /// Inverse of [`CorruptionKind::name`], for config loading.
+    /// Inverse of [`CorruptionKind::name`].
     #[must_use]
     pub fn from_name(name: &str) -> Option<CorruptionKind> {
         CorruptionKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
-/// A JSON-loadable chaos plan. Rates are per 10 000 requests; a request
-/// draws at most one fault per attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChaosConfig {
-    /// Seed of the deterministic fault stream.
-    pub seed: u64,
-    /// Hard-fault (panic) rate per 10 000 requests.
-    pub panic_per_10k: u32,
-    /// Delay-fault (straggler) rate per 10 000 requests.
-    pub straggle_per_10k: u32,
-    /// Soft-fault (corruption) rate per 10 000 requests.
-    pub corrupt_per_10k: u32,
-    /// Shape of injected corruptions: naive single-limb bit flips (always
-    /// caught by the residue check) or crafted residue-evading multi-limb
-    /// deltas (caught only by the dual-algorithm verification rung).
-    pub corruption: CorruptionKind,
-    /// How long an injected straggler sleeps, in milliseconds.
-    pub straggle_ms: u64,
-    /// Probabilistic faults fire only on attempts below this bound, so a
-    /// supervised retry deterministically clears an injected fault.
-    pub max_faulty_attempts: u32,
-    /// Forced faults `(request index, kind)`, fired on the first attempt
-    /// regardless of the probabilistic rates.
-    pub force: Vec<(u64, FaultKind)>,
-    /// Shard-kill rate per 10 000 (shard, monitor round) draws.
-    pub shard_kill_per_10k: u32,
-    /// Shard-stall rate per 10 000 (shard, monitor round) draws.
-    pub shard_stall_per_10k: u32,
-    /// How many monitor rounds a stalled shard withholds heartbeats
-    /// before beats resume and the shard rejoins.
-    pub stall_rounds: u64,
-    /// Forced shard faults `(shard index, monitor round, kind)`, fired at
-    /// exactly that round regardless of the probabilistic rates. Kinds
-    /// must be shard-level (`shard_kill` / `shard_stall`).
-    pub force_shard: Vec<(usize, u64, FaultKind)>,
-}
+/// Per-10k rates are probabilities, so none may exceed this.
+const PER_10K: u32 = 10_000;
 
-impl Default for ChaosConfig {
-    fn default() -> ChaosConfig {
-        ChaosConfig {
-            seed: 0,
-            panic_per_10k: 0,
-            straggle_per_10k: 0,
-            corrupt_per_10k: 0,
-            corruption: CorruptionKind::SingleLimb,
-            straggle_ms: 2,
-            max_faulty_attempts: 1,
-            force: Vec::new(),
-            shard_kill_per_10k: 0,
-            shard_stall_per_10k: 0,
-            stall_rounds: 4,
-            force_shard: Vec::new(),
-        }
+options! {
+    /// A JSON-loadable chaos plan. Rates are per 10 000 requests; a request
+    /// draws at most one fault per attempt.
+    pub struct ChaosConfig {
+        /// Seed of the deterministic fault stream.
+        pub seed: u64 = 0;
+        /// Hard-fault (panic) rate per 10 000 requests.
+        pub panic_per_10k: u32 = 0, ..=PER_10K;
+        /// Delay-fault (straggler) rate per 10 000 requests.
+        pub straggle_per_10k: u32 = 0, ..=PER_10K;
+        /// Soft-fault (corruption) rate per 10 000 requests.
+        pub corrupt_per_10k: u32 = 0, ..=PER_10K;
+        /// Shape of injected corruptions: naive single-limb bit flips (always
+        /// caught by the residue check) or crafted residue-evading multi-limb
+        /// deltas (caught only by the dual-algorithm verification rung).
+        pub corruption: CorruptionKind = CorruptionKind::SingleLimb;
+        /// How long an injected straggler sleeps, in milliseconds.
+        pub straggle_ms: u64 = 2;
+        /// Probabilistic faults fire only on attempts below this bound, so a
+        /// supervised retry deterministically clears an injected fault.
+        pub max_faulty_attempts: u32 = 1;
+        /// Forced faults `(request index, kind)`, fired on the first attempt
+        /// regardless of the probabilistic rates. In JSON each is
+        /// `{"index": N, "kind": "panic|straggle|corrupt"}`.
+        pub force: Vec<(u64, FaultKind)> = Vec::new();
+        /// Shard-kill rate per 10 000 (shard, monitor round) draws.
+        pub shard_kill_per_10k: u32 = 0, ..=PER_10K;
+        /// Shard-stall rate per 10 000 (shard, monitor round) draws.
+        pub shard_stall_per_10k: u32 = 0, ..=PER_10K;
+        /// How many monitor rounds a stalled shard withholds heartbeats
+        /// before beats resume and the shard rejoins.
+        pub stall_rounds: u64 = 4;
+        /// Forced shard faults `(shard index, monitor round, kind)`, fired at
+        /// exactly that round regardless of the probabilistic rates. Kinds
+        /// must be shard-level: in JSON each is
+        /// `{"shard": N, "round": R, "kind": "shard_kill|shard_stall"}`.
+        pub force_shard: Vec<(usize, u64, FaultKind)> = Vec::new();
+    }
+    check(c) {
+        c.panic_per_10k + c.straggle_per_10k + c.corrupt_per_10k <= PER_10K
+            => "panic_per_10k + straggle_per_10k + corrupt_per_10k must be <= 10000";
+        c.shard_kill_per_10k + c.shard_stall_per_10k <= PER_10K
+            => "shard_kill_per_10k + shard_stall_per_10k must be <= 10000";
     }
 }
 
@@ -308,191 +296,78 @@ impl ChaosConfig {
             }
         }
     }
+}
 
-    /// Read a chaos plan from a parsed JSON object; absent fields keep
-    /// their defaults. `force` entries are `{"index": N, "kind": "panic"}`.
-    pub fn from_json(json: &Json) -> Result<ChaosConfig, ConfigError> {
-        let d = ChaosConfig::default();
-        let get_u64 = |key: &str, default: u64| -> Result<u64, ConfigError> {
-            match json.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().ok_or_else(|| {
-                    ConfigError::Invalid(format!("chaos.{key} must be a non-negative integer"))
-                }),
-            }
-        };
-        let get_u32 = |key: &str, default: u32| -> Result<u32, ConfigError> {
-            get_u64(key, u64::from(default)).and_then(|v| {
-                u32::try_from(v)
-                    .map_err(|_| ConfigError::Invalid(format!("chaos.{key} out of range")))
-            })
-        };
-        let corruption = match json.get("corruption") {
-            None => d.corruption,
-            Some(Json::Str(name)) => CorruptionKind::from_name(name).ok_or_else(|| {
-                ConfigError::Invalid(
-                    "chaos.corruption must be \"single_limb\" or \"residue_evading\"".to_string(),
-                )
-            })?,
-            Some(_) => {
-                return Err(ConfigError::Invalid(
-                    "chaos.corruption must be a string".to_string(),
-                ))
-            }
-        };
-        let force = match json.get("force") {
-            None => d.force.clone(),
-            Some(Json::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let index = item
-                        .get("index")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(invalid_force)?;
-                    let kind = match item.get("kind") {
-                        Some(Json::Str(name)) => {
-                            FaultKind::from_name(name).ok_or_else(invalid_force)?
-                        }
-                        _ => return Err(invalid_force()),
-                    };
-                    if kind.is_shard_fault() {
-                        return Err(invalid_force());
-                    }
-                    out.push((index, kind));
-                }
-                out
-            }
-            Some(_) => return Err(invalid_force()),
-        };
-        let force_shard = match json.get("force_shard") {
-            None => d.force_shard.clone(),
-            Some(Json::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let shard = item
-                        .get("shard")
-                        .and_then(Json::as_u64)
-                        .and_then(|v| usize::try_from(v).ok())
-                        .ok_or_else(invalid_force_shard)?;
-                    let round = item
-                        .get("round")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(invalid_force_shard)?;
-                    let kind = match item.get("kind") {
-                        Some(Json::Str(name)) => {
-                            FaultKind::from_name(name).ok_or_else(invalid_force_shard)?
-                        }
-                        _ => return Err(invalid_force_shard()),
-                    };
-                    if !kind.is_shard_fault() {
-                        return Err(invalid_force_shard());
-                    }
-                    out.push((shard, round, kind));
-                }
-                out
-            }
-            Some(_) => return Err(invalid_force_shard()),
-        };
-        let cfg = ChaosConfig {
-            seed: get_u64("seed", d.seed)?,
-            panic_per_10k: get_u32("panic_per_10k", d.panic_per_10k)?,
-            straggle_per_10k: get_u32("straggle_per_10k", d.straggle_per_10k)?,
-            corrupt_per_10k: get_u32("corrupt_per_10k", d.corrupt_per_10k)?,
-            corruption,
-            straggle_ms: get_u64("straggle_ms", d.straggle_ms)?,
-            max_faulty_attempts: get_u32("max_faulty_attempts", d.max_faulty_attempts)?,
-            force,
-            shard_kill_per_10k: get_u32("shard_kill_per_10k", d.shard_kill_per_10k)?,
-            shard_stall_per_10k: get_u32("shard_stall_per_10k", d.shard_stall_per_10k)?,
-            stall_rounds: get_u64("stall_rounds", d.stall_rounds)?,
-            force_shard,
-        };
-        if cfg.panic_per_10k + cfg.straggle_per_10k + cfg.corrupt_per_10k > 10_000 {
-            return Err(ConfigError::Invalid(
-                "chaos fault rates must sum to at most 10000 per 10k".to_string(),
-            ));
-        }
-        if cfg.shard_kill_per_10k + cfg.shard_stall_per_10k > 10_000 {
-            return Err(ConfigError::Invalid(
-                "chaos shard fault rates must sum to at most 10000 per 10k".to_string(),
-            ));
-        }
-        Ok(cfg)
+impl Value for FaultKind {
+    fn from_json(json: &Json, path: &str) -> Result<FaultKind, ConfigError> {
+        named(json, path, &FaultKind::ALL, FaultKind::name)
     }
 
-    pub(crate) fn to_json_value(&self) -> Json {
+    fn to_json_value(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
+}
+
+impl Value for CorruptionKind {
+    fn from_json(json: &Json, path: &str) -> Result<CorruptionKind, ConfigError> {
+        named(json, path, &CorruptionKind::ALL, CorruptionKind::name)
+    }
+
+    fn to_json_value(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
+}
+
+/// The `kind` of a forced-fault entry, which must be a shard fault
+/// exactly when `shard` is set.
+fn forced_kind(map: &Object, path: &str, shard: bool) -> Result<FaultKind, ConfigError> {
+    let kind: FaultKind = required(map, path, "kind")?;
+    if kind.is_shard_fault() != shard {
+        let level = if shard { "a shard" } else { "a request" };
+        return Err(invalid(
+            &join(path, "kind"),
+            format!("must be {level} fault"),
+        ));
+    }
+    Ok(kind)
+}
+
+/// A `chaos.force` entry.
+impl Value for (u64, FaultKind) {
+    fn from_json(json: &Json, path: &str) -> Result<(u64, FaultKind), ConfigError> {
+        let map = section(json, path, "force", &["index", "kind"])?;
+        Ok((
+            required(map, path, "index")?,
+            forced_kind(map, path, false)?,
+        ))
+    }
+
+    fn to_json_value(&self) -> Json {
         obj([
-            ("seed", Json::Num(i128::from(self.seed))),
-            ("panic_per_10k", Json::Num(i128::from(self.panic_per_10k))),
-            (
-                "straggle_per_10k",
-                Json::Num(i128::from(self.straggle_per_10k)),
-            ),
-            (
-                "corrupt_per_10k",
-                Json::Num(i128::from(self.corrupt_per_10k)),
-            ),
-            ("corruption", Json::Str(self.corruption.name().to_string())),
-            ("straggle_ms", Json::Num(i128::from(self.straggle_ms))),
-            (
-                "max_faulty_attempts",
-                Json::Num(i128::from(self.max_faulty_attempts)),
-            ),
-            (
-                "force",
-                Json::Arr(
-                    self.force
-                        .iter()
-                        .map(|&(index, kind)| {
-                            obj([
-                                ("index", Json::Num(i128::from(index))),
-                                ("kind", Json::Str(kind.name().to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "shard_kill_per_10k",
-                Json::Num(i128::from(self.shard_kill_per_10k)),
-            ),
-            (
-                "shard_stall_per_10k",
-                Json::Num(i128::from(self.shard_stall_per_10k)),
-            ),
-            ("stall_rounds", Json::Num(i128::from(self.stall_rounds))),
-            (
-                "force_shard",
-                Json::Arr(
-                    self.force_shard
-                        .iter()
-                        .map(|&(shard, round, kind)| {
-                            obj([
-                                ("shard", Json::Num(shard as i128)),
-                                ("round", Json::Num(i128::from(round))),
-                                ("kind", Json::Str(kind.name().to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("index", self.0.to_json_value()),
+            ("kind", self.1.to_json_value()),
         ])
     }
 }
 
-fn invalid_force() -> ConfigError {
-    ConfigError::Invalid(
-        "chaos.force must be an array of {\"index\": N, \"kind\": \"panic|straggle|corrupt\"}"
-            .to_string(),
-    )
-}
+/// A `chaos.force_shard` entry.
+impl Value for (usize, u64, FaultKind) {
+    fn from_json(json: &Json, path: &str) -> Result<(usize, u64, FaultKind), ConfigError> {
+        let map = section(json, path, "force_shard", &["shard", "round", "kind"])?;
+        Ok((
+            required(map, path, "shard")?,
+            required(map, path, "round")?,
+            forced_kind(map, path, true)?,
+        ))
+    }
 
-fn invalid_force_shard() -> ConfigError {
-    ConfigError::Invalid(
-        "chaos.force_shard must be an array of \
-         {\"shard\": N, \"round\": R, \"kind\": \"shard_kill|shard_stall\"}"
-            .to_string(),
-    )
+    fn to_json_value(&self) -> Json {
+        obj([
+            ("shard", self.0.to_json_value()),
+            ("round", self.1.to_json_value()),
+            ("kind", self.2.to_json_value()),
+        ])
+    }
 }
 
 /// Install a process-wide panic hook that silences the backtrace spam from
@@ -662,28 +537,28 @@ mod tests {
             force_shard: vec![(2, 11, FaultKind::ShardStall), (0, 4, FaultKind::ShardKill)],
         };
         let text = cfg.to_json_value().dump();
-        let parsed = ChaosConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let parsed = ChaosConfig::from_json(&Json::parse(&text).unwrap(), "chaos").unwrap();
         assert_eq!(parsed, cfg);
     }
 
     #[test]
     fn json_rejects_bad_documents() {
-        let over = r#"{"panic_per_10k": 9000, "corrupt_per_10k": 2000}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(over).unwrap()).is_err());
-        let bad_kind = r#"{"force": [{"index": 1, "kind": "meltdown"}]}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_kind).unwrap()).is_err());
-        let bad_number = r#"{"straggle_ms": true}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_number).unwrap()).is_err());
-        let bad_corruption = r#"{"corruption": "cosmic_ray"}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_corruption).unwrap()).is_err());
-        let bad_corruption_type = r#"{"corruption": 7}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_corruption_type).unwrap()).is_err());
-        // Shard kinds are rejected in request-level force, and vice versa.
-        let shard_in_force = r#"{"force": [{"index": 1, "kind": "shard_kill"}]}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(shard_in_force).unwrap()).is_err());
-        let req_in_shard = r#"{"force_shard": [{"shard": 0, "round": 1, "kind": "panic"}]}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(req_in_shard).unwrap()).is_err());
-        let over_shard = r#"{"shard_kill_per_10k": 9000, "shard_stall_per_10k": 2000}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(over_shard).unwrap()).is_err());
+        for bad in [
+            r#"{"panic_per_10k": 9000, "corrupt_per_10k": 2000}"#,
+            r#"{"shard_kill_per_10k": 9000, "shard_stall_per_10k": 2000}"#,
+            // Each rate is bounded before the sums, so they cannot overflow.
+            r#"{"panic_per_10k": 4294967295, "straggle_per_10k": 1}"#,
+            r#"{"shard_kill_per_10k": 4294967295, "shard_stall_per_10k": 1}"#,
+            r#"{"force": [{"index": 1, "kind": "meltdown"}]}"#,
+            r#"{"straggle_ms": true}"#,
+            r#"{"corruption": "cosmic_ray"}"#,
+            r#"{"corruption": 7}"#,
+            // Shard kinds are rejected in request-level force, and vice versa.
+            r#"{"force": [{"index": 1, "kind": "shard_kill"}]}"#,
+            r#"{"force_shard": [{"shard": 0, "round": 1, "kind": "panic"}]}"#,
+        ] {
+            let parsed = ChaosConfig::from_json(&Json::parse(bad).unwrap(), "chaos");
+            assert!(matches!(parsed, Err(ConfigError::Invalid(_))), "{bad}");
+        }
     }
 }

@@ -1,649 +1,486 @@
 //! Service configuration, loadable from JSON.
 //!
-//! The derives come from the workspace `serde` (a no-op shim in the
-//! offline container — see `vendor/README.md`), so the JSON round-trip is
-//! implemented directly via [`crate::json`]; the derive keeps the structs
-//! source-compatible with upstream serde for when the real crate returns.
+//! Every option is declared once, as a row of an `options!` block: its
+//! doc line, name, type, default and optional bounds. The block generates
+//! the public struct, its `Default`, and its `Value` impl, which loads the
+//! section from JSON and writes it back. Loading rejects a key no row
+//! declares with [`ConfigError::UnknownKey`], except the retired keys of
+//! removed options, which load and are ignored; then it checks each row's
+//! bounds and the section's cross-field rules.
+//! [`ServiceConfig::to_json`] is the `/v1/config` body.
 
 use crate::chaos::ChaosConfig;
-use crate::json::{obj, Json, JsonError};
+use crate::json::{Json, JsonError};
 use crate::supervisor::{BreakerPolicy, RetryPolicy};
 use crate::verify::VerifyPolicy;
-use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::ops::{Bound, RangeBounds};
 
-/// Size thresholds steering kernel auto-selection, in operand bits
-/// (`min(bit_length(a), bit_length(b))`).
-///
-/// Defaults follow the crossover points measured by the `tune_thresholds`
-/// sweep against the scratch-arena limb kernels: schoolbook only wins
-/// below ~2 kbit (the in-place Karatsuba base case takes over early), and
-/// sequential Toom-Cook carries to multi-megabit sizes on the single-core
-/// CI container — multicore deployments should lower `seq_toom_max_bits`
-/// to wherever their fork-join overhead amortizes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KernelPolicy {
-    /// Requests at or below this size run schoolbook.
-    pub schoolbook_max_bits: u64,
-    /// Requests at or below this size (and above schoolbook) run
-    /// sequential Toom-Cook.
-    pub seq_toom_max_bits: u64,
-    /// Requests *above* this size run the two-prime CRT NTT kernel
-    /// (`ft_bigint::ntt`); requests between `seq_toom_max_bits` and here
-    /// run parallel Toom-Cook. The default is the 8 Mbit crossover the
-    /// `tune_thresholds` big-operand sweep measured (≥1.5× over Toom-3
-    /// there and above; see BENCH_kernels.json).
-    pub ntt_min_bits: u64,
-    /// Split parameter for the sequential Toom-Cook kernel.
-    pub seq_toom_k: usize,
-    /// Split parameter for the parallel Toom-Cook kernel.
-    pub par_toom_k: usize,
-    /// Base-case cutoff inside the Toom recursions. Also the lane
-    /// boundary: a product whose larger operand is at most this size is
-    /// one limb-kernel call and runs in the service's small lane. The
-    /// tuner never moves it.
-    pub toom_threshold_bits: u64,
-    /// Recursion levels the parallel kernel forks before going sequential.
-    pub par_depth: usize,
+/// Declares a config section. Each field is one row,
+/// `/// doc` then `pub name: Type = default, bounds;`, where `bounds` is
+/// an optional range such as `1..` or `..=10_000`. An optional
+/// `check(c) { rule => "what broke"; … }` after the struct lists the
+/// section's cross-field rules: conditions on `c` that must hold.
+macro_rules! options {
+    ($(#[$attr:meta])* pub struct $name:ident {
+        $($(#[$doc:meta])* pub $field:ident: $ty:ty = $default:expr $(, $bounds:expr)?;)*
+    }
+    $(check($c:ident) { $($rule:expr => $broken:expr;)* })?) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl Default for $name {
+            fn default() -> $name {
+                $name { $($field: $default,)* }
+            }
+        }
+
+        impl $crate::config::Value for $name {
+            fn from_json(
+                json: &$crate::json::Json,
+                path: &str,
+            ) -> Result<$name, $crate::config::ConfigError> {
+                let keys = [$(stringify!($field)),*];
+                let map = $crate::config::section(json, path, stringify!($name), &keys)?;
+                let cfg = $name {
+                    $($field: $crate::config::row::<$ty>(map, path, stringify!($field), $default)?,)*
+                };
+                $($($crate::config::bounded(&cfg.$field, $bounds, path, stringify!($field))?;)?)*
+                $(
+                    let $c = &cfg;
+                    $(if !$rule {
+                        return Err($crate::config::ConfigError::Invalid(
+                            $crate::config::join(path, $broken),
+                        ));
+                    })*
+                )?
+                Ok(cfg)
+            }
+
+            fn to_json_value(&self) -> $crate::json::Json {
+                $crate::json::obj([
+                    $((stringify!($field), $crate::config::Value::to_json_value(&self.$field)),)*
+                ])
+            }
+        }
+    };
+}
+pub(crate) use options;
+
+/// A type an option can have: how it loads from JSON and how it is
+/// written back. Implemented for the unsigned integers, `bool`, `Option`
+/// (`null` is `None`), `Vec` (a JSON array), every config section, and in
+/// [`crate::chaos`] for the fault kinds and the forced-fault entries.
+pub(crate) trait Value: Sized {
+    /// Load from `json`; `path` is its dotted key path, for errors.
+    fn from_json(json: &Json, path: &str) -> Result<Self, ConfigError>;
+    /// The JSON form, which [`Value::from_json`] loads back.
+    fn to_json_value(&self) -> Json;
 }
 
-impl Default for KernelPolicy {
-    fn default() -> KernelPolicy {
-        KernelPolicy {
-            schoolbook_max_bits: 2_048,
-            seq_toom_max_bits: 4_000_000,
-            ntt_min_bits: 8_388_608,
-            seq_toom_k: 3,
-            par_toom_k: 3,
-            toom_threshold_bits: 24_576,
-            par_depth: 2,
+macro_rules! unsigned {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn from_json(json: &Json, path: &str) -> Result<$t, ConfigError> {
+                json.as_i128()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| invalid(path, format!("must be an integer in 0..={}", <$t>::MAX)))
+            }
+
+            fn to_json_value(&self) -> Json {
+                Json::Num(*self as i128)
+            }
         }
+    )*};
+}
+unsigned!(u32, u64, usize);
+
+impl Value for bool {
+    fn from_json(json: &Json, path: &str) -> Result<bool, ConfigError> {
+        json.as_bool()
+            .ok_or_else(|| invalid(path, "must be a boolean"))
+    }
+
+    fn to_json_value(&self) -> Json {
+        Json::Bool(*self)
     }
 }
 
-/// Knobs for the two execution lanes: how long a lane's dispatcher waits
-/// to coalesce same-shape requests, and how much each lane queues.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchingConfig {
-    /// Coalescing window in µs: after the first queued request arrives,
-    /// the dispatcher keeps collecting for at most this long before
-    /// dispatching. `0` disables coalescing (every request dispatches
-    /// alone, still through its lane's dispatcher).
-    pub window_us: u64,
-    /// Most requests merged into one executed batch.
-    pub max_batch: usize,
-    /// Capacity of each lane's submission queue; a submission beyond it
-    /// returns [`crate::SubmitError::QueueFull`].
-    pub queue_capacity: usize,
-}
-
-impl Default for BatchingConfig {
-    fn default() -> BatchingConfig {
-        BatchingConfig {
-            window_us: 150,
-            max_batch: 32,
-            queue_capacity: 1_024,
+impl<T: Value> Value for Option<T> {
+    fn from_json(json: &Json, path: &str) -> Result<Option<T>, ConfigError> {
+        match json {
+            Json::Null => Ok(None),
+            v => T::from_json(v, path).map(Some),
         }
+    }
+
+    fn to_json_value(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json_value)
     }
 }
 
-/// Cadence and sensitivity of the adaptive threshold tuner, which
-/// periodically re-derives [`KernelPolicy`] size thresholds from the live
-/// per-(kernel, size-class) latency histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TunerConfig {
-    /// Master switch; `false` keeps the static policy forever.
-    pub enabled: bool,
-    /// How often the tuner re-examines the histogram, ms.
-    pub interval_ms: u64,
-    /// Minimum served samples a (kernel, size-class) cell needs on *both*
-    /// sides of a threshold before the tuner will move it.
-    pub min_samples: u64,
-    /// Move a threshold only when the losing kernel's mean latency is at
-    /// least this percentage of the winner's (e.g. `125` = 25% slower),
-    /// so noise does not flap the policy.
-    pub slowdown_pct: u64,
-}
+impl<T: Value> Value for Vec<T> {
+    fn from_json(json: &Json, path: &str) -> Result<Vec<T>, ConfigError> {
+        let Json::Arr(items) = json else {
+            return Err(invalid(path, "must be an array"));
+        };
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item, &format!("{path}[{i}]")))
+            .collect()
+    }
 
-impl Default for TunerConfig {
-    fn default() -> TunerConfig {
-        TunerConfig {
-            enabled: true,
-            interval_ms: 500,
-            min_samples: 64,
-            slowdown_pct: 125,
-        }
+    fn to_json_value(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json_value).collect())
     }
 }
 
-/// The distributed backend: coalesced groups promoted to the simulated
-/// coded machine (`ft-core`'s polynomial-coded parallel Toom-Cook with
-/// heartbeat failure detection). Each promoted request runs on a machine
-/// of `(2k−1+f)·k^(bfs_steps−1)·…` simulated processors that survives up
-/// to `f` column faults per run; unrecoverable runs fall back down the
-/// ordinary kernel ladder. The injection knobs drive deterministic chaos
-/// *inside* the machine (planned hard faults plus one delay fault), where
-/// the heartbeat detector — not an oracle — must find them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DistributedConfig {
-    /// Master switch; `false` keeps every group on the local kernels.
-    pub enabled: bool,
-    /// Toom split parameter `k` of the coded machine.
-    pub k: usize,
-    /// BFS steps `m` of the coded machine (`P = (k²)^m` data processors).
-    pub bfs_steps: usize,
-    /// Redundant evaluation points `f` — column faults survivable per run.
-    pub f: usize,
-    /// Smallest coalesced group the dispatcher promotes.
-    pub min_group: usize,
-    /// Promotion window: only operands of at least this many bits…
-    pub min_bits: u64,
-    /// …and at most this many bits run on the simulated machine.
-    pub max_bits: u64,
-    /// Seed of the deterministic in-machine fault stream.
-    pub fault_seed: u64,
-    /// Planned hard faults injected per machine run (distinct victim
-    /// ranks at the `poly-halt` fault point). More than `f` distinct
-    /// *columns* makes the run unrecoverable, exercising the fallback.
-    pub hard_faults_per_run: u32,
-    /// Ranks per run additionally given a delay fault (slowdown).
-    pub delay_ranks: u32,
-    /// Slowdown factor applied to delayed ranks (1 = no delay).
-    pub delay_factor: u64,
-    /// Attempts (per request) that receive injection, so a supervised
-    /// retry deterministically clears injected faults. `u32::MAX` makes
-    /// every distributed attempt faulty (forces the fallback ladder).
-    pub faulty_attempts: u32,
-    /// Heartbeat deadline budget of the in-machine detector.
-    pub deadline_budget: u64,
-    /// Straggler factor of the in-machine detector (0 disables flagging).
-    pub straggler_factor: u64,
-    /// Heartbeats posted per fault point inside the machine (density of
-    /// the heartbeat schedule). `1` is the classic one-beat-per-point
-    /// cadence, which caps the usable `deadline_budget` at 1 between
-    /// rounds (the EXPERIMENTS.md S7 cliff); a period of `h` makes every
-    /// budget `≤ h` detect a fresh death.
-    pub heartbeat_period: u64,
-    /// Run a second in-machine detection round after the nested
-    /// recursion: first-wave victims re-integrate via `ack_recovery` and
-    /// keep serving the protocol, and injected hard faults alternate
-    /// between the two fault points (`poly-halt` / `poly-rec-halt`).
-    pub recursion_detect: bool,
+/// Keys of removed options, as (section, key). Documents that still set
+/// them load, and the value is ignored: `workers`, `queue_capacity` and
+/// `batch_max` at the top of a service config, `batching.lanes` and
+/// `chaos.escalate_panics`.
+pub(crate) const RETIRED: &[(&str, &str)] = &[
+    ("ServiceConfig", "workers"),
+    ("ServiceConfig", "queue_capacity"),
+    ("ServiceConfig", "batch_max"),
+    ("BatchingConfig", "lanes"),
+    ("ChaosConfig", "escalate_panics"),
+];
+
+/// A JSON object's entries.
+pub(crate) type Object = BTreeMap<String, Json>;
+
+/// `key` under `path`, dotted (the root's path is empty).
+pub(crate) fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
 }
 
-impl Default for DistributedConfig {
-    fn default() -> DistributedConfig {
-        DistributedConfig {
-            enabled: false,
-            k: 2,
-            bfs_steps: 1,
-            f: 1,
-            min_group: 2,
-            min_bits: 2_048,
-            max_bits: 4_000_000,
-            fault_seed: 0,
-            hard_faults_per_run: 0,
-            delay_ranks: 0,
-            delay_factor: 4,
-            faulty_attempts: 1,
-            deadline_budget: 1,
-            straggler_factor: 0,
-            heartbeat_period: 1,
-            recursion_detect: false,
+/// A mistyped or out-of-range value at `path`.
+pub(crate) fn invalid(path: &str, rule: impl Display) -> ConfigError {
+    let path = if path.is_empty() {
+        "the document"
+    } else {
+        path
+    };
+    ConfigError::Invalid(format!("{path} {rule}"))
+}
+
+/// The object at `path` of section `name`, once every key in it is one
+/// of `keys` or retired.
+pub(crate) fn section<'a>(
+    json: &'a Json,
+    path: &str,
+    name: &str,
+    keys: &[&str],
+) -> Result<&'a Object, ConfigError> {
+    let Json::Obj(map) = json else {
+        return Err(invalid(path, "must be an object"));
+    };
+    let declared = |key: &str| keys.contains(&key) || RETIRED.contains(&(name, key));
+    match map.keys().find(|key| !declared(key)) {
+        None => Ok(map),
+        Some(key) => Err(ConfigError::UnknownKey {
+            path: join(path, key),
+            nearest: join(path, nearest(key, keys)),
+        }),
+    }
+}
+
+/// Row `key` of the section at `path`, or `default` when the key is absent.
+pub(crate) fn row<T: Value>(
+    map: &Object,
+    path: &str,
+    key: &str,
+    default: T,
+) -> Result<T, ConfigError> {
+    map.get(key)
+        .map_or(Ok(default), |v| T::from_json(v, &join(path, key)))
+}
+
+/// Entry `key` of the object at `path`, which must be present.
+pub(crate) fn required<T: Value>(map: &Object, path: &str, key: &str) -> Result<T, ConfigError> {
+    let path = join(path, key);
+    T::from_json(
+        map.get(key).ok_or_else(|| invalid(&path, "is required"))?,
+        &path,
+    )
+}
+
+/// Row `key` of the section at `path` must lie in `bounds`.
+pub(crate) fn bounded<T: PartialOrd + Display>(
+    value: &T,
+    bounds: impl RangeBounds<T>,
+    path: &str,
+    key: &str,
+) -> Result<(), ConfigError> {
+    if bounds.contains(value) {
+        return Ok(());
+    }
+    let rule = match (bounds.start_bound(), bounds.end_bound()) {
+        (Bound::Included(lo), Bound::Unbounded) => format!("must be >= {lo}"),
+        (Bound::Unbounded, Bound::Included(hi)) => format!("must be <= {hi}"),
+        (Bound::Included(lo), Bound::Included(hi)) => format!("must be in {lo}..={hi}"),
+        _ => "is out of range".to_string(),
+    };
+    Err(invalid(&join(path, key), rule))
+}
+
+/// The one of `all` whose `name` is the string `json`.
+pub(crate) fn named<T: Copy>(
+    json: &Json,
+    path: &str,
+    all: &[T],
+    name: fn(T) -> &'static str,
+) -> Result<T, ConfigError> {
+    let found = all
+        .iter()
+        .copied()
+        .find(|&kind| matches!(json, Json::Str(s) if s == name(kind)));
+    found.ok_or_else(|| {
+        let names: Vec<&str> = all.iter().map(|&kind| name(kind)).collect();
+        invalid(path, format!("must be one of {}", names.join(", ")))
+    })
+}
+
+/// The declared key with the fewest single-character edits from `key`
+/// (ignoring case); the first such key on a tie.
+fn nearest<'k>(key: &str, keys: &[&'k str]) -> &'k str {
+    let key = key.to_ascii_lowercase();
+    keys.iter()
+        .copied()
+        .min_by_key(|declared| edits(&key, declared))
+        .unwrap_or_default()
+}
+
+/// Levenshtein distance between `a` and `b`, in characters.
+fn edits(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let here = (diagonal + usize::from(ca != cb))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diagonal = row[j + 1];
+            row[j + 1] = here;
         }
+    }
+    row[b.len()]
+}
+
+/// Load a whole document from JSON text.
+fn load<T: Value>(text: &str) -> Result<T, ConfigError> {
+    T::from_json(&Json::parse(text).map_err(ConfigError::Parse)?, "")
+}
+
+options! {
+    /// Size thresholds steering kernel auto-selection, in operand bits
+    /// (`min(bit_length(a), bit_length(b))`).
+    ///
+    /// Defaults follow the crossover points measured by the
+    /// `tune_thresholds` sweep against the scratch-arena limb kernels:
+    /// schoolbook only wins below ~2 kbit (the in-place Karatsuba base case
+    /// takes over early), and sequential Toom-Cook carries to
+    /// multi-megabit sizes on the 2-core host of BENCH_kernels.json. Hosts
+    /// with more cores should lower `seq_toom_max_bits` to wherever their
+    /// fork-join overhead amortizes.
+    pub struct KernelPolicy {
+        /// Requests at or below this size run schoolbook.
+        pub schoolbook_max_bits: u64 = 2_048;
+        /// Requests at or below this size (and above schoolbook) run
+        /// sequential Toom-Cook.
+        pub seq_toom_max_bits: u64 = 4_000_000;
+        /// Requests *above* this size run the two-prime CRT NTT kernel
+        /// (`ft_bigint::ntt`); requests between `seq_toom_max_bits` and here
+        /// run parallel Toom-Cook. The default is the 8 Mbit crossover the
+        /// `tune_thresholds` big-operand sweep measured (≥1.5× over Toom-3
+        /// there and above; see BENCH_kernels.json).
+        pub ntt_min_bits: u64 = 8_388_608;
+        /// Split parameter for the sequential Toom-Cook kernel.
+        pub seq_toom_k: usize = 3, 2..;
+        /// Split parameter for the parallel Toom-Cook kernel.
+        pub par_toom_k: usize = 3, 2..;
+        /// Base-case cutoff inside the Toom recursions. Also the lane
+        /// boundary: a product whose larger operand is at most this size is
+        /// one limb-kernel call and runs in the service's small lane. The
+        /// tuner never moves it.
+        pub toom_threshold_bits: u64 = 24_576;
+        /// Recursion levels the parallel kernel forks before going sequential.
+        pub par_depth: usize = 2;
+    }
+    check(p) {
+        p.schoolbook_max_bits <= p.seq_toom_max_bits
+            => "schoolbook_max_bits must not exceed seq_toom_max_bits";
+        p.seq_toom_max_bits <= p.ntt_min_bits => "seq_toom_max_bits must not exceed ntt_min_bits";
+    }
+}
+
+options! {
+    /// Knobs for the two execution lanes: how long a lane's dispatcher
+    /// waits to coalesce same-shape requests, and how much each lane
+    /// queues.
+    pub struct BatchingConfig {
+        /// Coalescing window in µs: after the first queued request arrives,
+        /// the dispatcher keeps collecting for at most this long before
+        /// dispatching. `0` disables coalescing (every request dispatches
+        /// alone, still through its lane's dispatcher).
+        pub window_us: u64 = 150;
+        /// Most requests merged into one executed batch.
+        pub max_batch: usize = 32, 1..;
+        /// Capacity of each lane's submission queue; a submission beyond it
+        /// returns [`crate::SubmitError::QueueFull`].
+        pub queue_capacity: usize = 1_024, 1..;
+    }
+}
+
+options! {
+    /// Cadence and sensitivity of the adaptive threshold tuner, which
+    /// periodically re-derives [`KernelPolicy`] size thresholds from the
+    /// live per-(kernel, size-class) latency histogram.
+    pub struct TunerConfig {
+        /// Master switch; `false` keeps the static policy forever.
+        pub enabled: bool = true;
+        /// How often the tuner re-examines the histogram, ms.
+        pub interval_ms: u64 = 500, 1..;
+        /// Minimum served samples a (kernel, size-class) cell needs on
+        /// *both* sides of a threshold before the tuner will move it.
+        pub min_samples: u64 = 64;
+        /// Move a threshold only when the losing kernel's mean latency is at
+        /// least this percentage of the winner's (e.g. `125` = 25% slower),
+        /// so noise does not flap the policy.
+        pub slowdown_pct: u64 = 125, 100..;
+    }
+}
+
+/// Most simulated ranks one run of the distributed backend may use. Each
+/// rank is an OS thread, started when the first group is promoted.
+pub(crate) const MAX_RANKS: usize = 1_024;
+
+options! {
+    /// The distributed backend: coalesced groups promoted to the simulated
+    /// coded machine (`ft-core`'s polynomial-coded parallel Toom-Cook with
+    /// heartbeat failure detection). Each promoted request runs on a
+    /// machine of `(2k−1)^(bfs_steps−1)·(2k−1+f)` simulated ranks, at most
+    /// 1,024, that survives up to `f` column faults per run;
+    /// unrecoverable runs fall back down the ordinary kernel ladder. The
+    /// injection knobs drive deterministic chaos *inside* the machine
+    /// (planned hard faults plus one delay fault), where the heartbeat
+    /// detector — not an oracle — must find them.
+    pub struct DistributedConfig {
+        /// Master switch; `false` keeps every group on the local kernels.
+        pub enabled: bool = false;
+        /// Toom split parameter `k` of the coded machine.
+        pub k: usize = 2, 2..;
+        /// BFS steps `m` of the coded machine (`(2k−1)^m` data processors).
+        pub bfs_steps: usize = 1, 1..;
+        /// Redundant evaluation points `f` — column faults survivable per run.
+        pub f: usize = 1;
+        /// Smallest coalesced group the dispatcher promotes. A lone request
+        /// never is, so the floor is 2.
+        pub min_group: usize = 2, 2..;
+        /// Promotion window: only operands of at least this many bits…
+        pub min_bits: u64 = 2_048;
+        /// …and at most this many bits run on the simulated machine.
+        pub max_bits: u64 = 4_000_000;
+        /// Seed of the deterministic in-machine fault stream.
+        pub fault_seed: u64 = 0;
+        /// Planned hard faults injected per machine run (distinct victim
+        /// ranks at the `poly-halt` fault point). More than `f` distinct
+        /// *columns* makes the run unrecoverable, exercising the fallback.
+        pub hard_faults_per_run: u32 = 0;
+        /// Ranks per run additionally given a delay fault (slowdown).
+        pub delay_ranks: u32 = 0;
+        /// Slowdown factor applied to delayed ranks (1 = no delay).
+        pub delay_factor: u64 = 4, 1..;
+        /// Attempts (per request) that receive injection, so a supervised
+        /// retry deterministically clears injected faults. `u32::MAX` makes
+        /// every distributed attempt faulty (forces the fallback ladder).
+        pub faulty_attempts: u32 = 1;
+        /// Heartbeat deadline budget of the in-machine detector.
+        pub deadline_budget: u64 = 1;
+        /// Straggler factor of the in-machine detector (0 disables flagging).
+        pub straggler_factor: u64 = 0;
+        /// Heartbeats posted per fault point inside the machine (density of
+        /// the heartbeat schedule). `1` is the classic one-beat-per-point
+        /// cadence, which caps the usable `deadline_budget` at 1 between
+        /// rounds (the EXPERIMENTS.md S7 cliff); a period of `h` makes every
+        /// budget `≤ h` detect a fresh death.
+        pub heartbeat_period: u64 = 1, 1..;
+        /// Run a second in-machine detection round after the nested
+        /// recursion: first-wave victims re-integrate via `ack_recovery` and
+        /// keep serving the protocol, and injected hard faults alternate
+        /// between the two fault points (`poly-halt` / `poly-rec-halt`).
+        pub recursion_detect: bool = false;
+    }
+    check(d) {
+        d.min_bits <= d.max_bits => "min_bits must not exceed max_bits";
+        d.ranks().is_some_and(|ranks| ranks <= MAX_RANKS)
+            => &format!("k, bfs_steps and f must give at most {MAX_RANKS} simulated ranks");
     }
 }
 
 impl DistributedConfig {
-    /// Read a distributed config from a parsed JSON object; absent fields
-    /// keep their defaults.
-    pub fn from_json(json: &Json) -> Result<DistributedConfig, ConfigError> {
-        let d = DistributedConfig::default();
-        let enabled = match json.get("enabled") {
-            None => d.enabled,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("distributed.enabled must be a boolean".to_string())
-            })?,
-        };
-        let cfg = DistributedConfig {
-            enabled,
-            k: field_usize(json, "k", d.k)?,
-            bfs_steps: field_usize(json, "bfs_steps", d.bfs_steps)?,
-            f: field_usize(json, "f", d.f)?,
-            min_group: field_usize(json, "min_group", d.min_group)?,
-            min_bits: field_u64(json, "min_bits", d.min_bits)?,
-            max_bits: field_u64(json, "max_bits", d.max_bits)?,
-            fault_seed: field_u64(json, "fault_seed", d.fault_seed)?,
-            hard_faults_per_run: field_u32(json, "hard_faults_per_run", d.hard_faults_per_run)?,
-            delay_ranks: field_u32(json, "delay_ranks", d.delay_ranks)?,
-            delay_factor: field_u64(json, "delay_factor", d.delay_factor)?,
-            faulty_attempts: field_u32(json, "faulty_attempts", d.faulty_attempts)?,
-            deadline_budget: field_u64(json, "deadline_budget", d.deadline_budget)?,
-            straggler_factor: field_u64(json, "straggler_factor", d.straggler_factor)?,
-            heartbeat_period: field_u64(json, "heartbeat_period", d.heartbeat_period)?,
-            recursion_detect: match json.get("recursion_detect") {
-                None => d.recursion_detect,
-                Some(v) => v.as_bool().ok_or_else(|| {
-                    ConfigError::Invalid(
-                        "distributed.recursion_detect must be a boolean".to_string(),
-                    )
-                })?,
-            },
-        };
-        if cfg.k < 2 {
-            return Err(ConfigError::Invalid(
-                "distributed.k must be >= 2".to_string(),
-            ));
-        }
-        if cfg.bfs_steps == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.bfs_steps must be >= 1".to_string(),
-            ));
-        }
-        if cfg.min_group == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.min_group must be >= 1".to_string(),
-            ));
-        }
-        if cfg.min_bits > cfg.max_bits {
-            return Err(ConfigError::Invalid(
-                "distributed.min_bits must not exceed distributed.max_bits".to_string(),
-            ));
-        }
-        if cfg.delay_factor == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.delay_factor must be >= 1".to_string(),
-            ));
-        }
-        if cfg.heartbeat_period == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.heartbeat_period must be >= 1".to_string(),
-            ));
-        }
-        Ok(cfg)
-    }
-
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("enabled", Json::Bool(self.enabled)),
-            ("k", Json::Num(self.k as i128)),
-            ("bfs_steps", Json::Num(self.bfs_steps as i128)),
-            ("f", Json::Num(self.f as i128)),
-            ("min_group", Json::Num(self.min_group as i128)),
-            ("min_bits", Json::Num(i128::from(self.min_bits))),
-            ("max_bits", Json::Num(i128::from(self.max_bits))),
-            ("fault_seed", Json::Num(i128::from(self.fault_seed))),
-            (
-                "hard_faults_per_run",
-                Json::Num(i128::from(self.hard_faults_per_run)),
-            ),
-            ("delay_ranks", Json::Num(i128::from(self.delay_ranks))),
-            ("delay_factor", Json::Num(i128::from(self.delay_factor))),
-            (
-                "faulty_attempts",
-                Json::Num(i128::from(self.faulty_attempts)),
-            ),
-            (
-                "deadline_budget",
-                Json::Num(i128::from(self.deadline_budget)),
-            ),
-            (
-                "straggler_factor",
-                Json::Num(i128::from(self.straggler_factor)),
-            ),
-            (
-                "heartbeat_period",
-                Json::Num(i128::from(self.heartbeat_period)),
-            ),
-            ("recursion_detect", Json::Bool(self.recursion_detect)),
-        ])
+    /// Simulated ranks of one run, `(2k−1)^(bfs_steps−1)·(2k−1+f)`, or
+    /// `None` when that overflows.
+    fn ranks(&self) -> Option<usize> {
+        let q = self.k.checked_mul(2)?.checked_sub(1)?;
+        let steps = u32::try_from(self.bfs_steps.checked_sub(1)?).ok()?;
+        q.checked_pow(steps)?.checked_mul(q.checked_add(self.f)?)
     }
 }
 
-impl BatchingConfig {
-    /// Read a batching config from a parsed JSON object; absent fields
-    /// keep their defaults.
-    pub fn from_json(json: &Json) -> Result<BatchingConfig, ConfigError> {
-        let d = BatchingConfig::default();
-        let cfg = BatchingConfig {
-            window_us: field_u64(json, "window_us", d.window_us)?,
-            max_batch: field_usize(json, "max_batch", d.max_batch)?,
-            queue_capacity: field_usize(json, "queue_capacity", d.queue_capacity)?,
-        };
-        if cfg.max_batch == 0 {
-            return Err(ConfigError::Invalid(
-                "batching.max_batch must be >= 1".to_string(),
-            ));
-        }
-        if cfg.queue_capacity == 0 {
-            return Err(ConfigError::Invalid(
-                "batching.queue_capacity must be >= 1".to_string(),
-            ));
-        }
-        Ok(cfg)
-    }
-
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("window_us", Json::Num(i128::from(self.window_us))),
-            ("max_batch", Json::Num(self.max_batch as i128)),
-            ("queue_capacity", Json::Num(self.queue_capacity as i128)),
-        ])
-    }
-}
-
-impl TunerConfig {
-    /// Read a tuner config from a parsed JSON object; absent fields keep
-    /// their defaults.
-    pub fn from_json(json: &Json) -> Result<TunerConfig, ConfigError> {
-        let d = TunerConfig::default();
-        let enabled = match json.get("enabled") {
-            None => d.enabled,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("tuner.enabled must be a boolean".to_string())
-            })?,
-        };
-        let cfg = TunerConfig {
-            enabled,
-            interval_ms: field_u64(json, "interval_ms", d.interval_ms)?,
-            min_samples: field_u64(json, "min_samples", d.min_samples)?,
-            slowdown_pct: field_u64(json, "slowdown_pct", d.slowdown_pct)?,
-        };
-        if cfg.interval_ms == 0 {
-            return Err(ConfigError::Invalid(
-                "tuner.interval_ms must be >= 1".to_string(),
-            ));
-        }
-        if cfg.slowdown_pct < 100 {
-            return Err(ConfigError::Invalid(
-                "tuner.slowdown_pct must be >= 100".to_string(),
-            ));
-        }
-        Ok(cfg)
-    }
-
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("enabled", Json::Bool(self.enabled)),
-            ("interval_ms", Json::Num(i128::from(self.interval_ms))),
-            ("min_samples", Json::Num(i128::from(self.min_samples))),
-            ("slowdown_pct", Json::Num(i128::from(self.slowdown_pct))),
-        ])
-    }
-}
-
-/// Full service configuration. [`Self::from_json`] ignores unknown keys,
-/// so documents written for earlier versions (with `workers`,
-/// `queue_capacity`, `batch_max`, `batching.lanes` or
-/// `chaos.escalate_panics`) still load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServiceConfig {
-    /// Queue-age bound in milliseconds after which deadline-less requests
-    /// are shed ([`crate::MulError::Shed`]); `None` disables shedding.
-    pub shed_after_ms: Option<u64>,
-    /// Capacity of the shared Toom-plan LRU cache.
-    pub plan_cache_capacity: usize,
-    /// Kernel selection thresholds.
-    pub kernel_policy: KernelPolicy,
-    /// Residue-spot-check every product (`ft_toom_core::residue`); a
-    /// mismatch counts as a soft fault and the request is retried.
-    pub verify_residues: bool,
-    /// Dual-algorithm verification rung: sampled re-computation with a
-    /// structurally distinct algorithm, escalating mismatches to a full
-    /// recompute (see [`crate::verify`]).
-    pub verify: VerifyPolicy,
-    /// Per-request retry/backoff policy for supervised failures.
-    pub retry: RetryPolicy,
-    /// Per-kernel circuit-breaker policy.
-    pub breaker: BreakerPolicy,
-    /// Optional deterministic fault-injection plan (chaos testing);
-    /// `None` injects nothing.
-    pub chaos: Option<ChaosConfig>,
-    /// Both lanes' coalescing window, batch bound, and queue capacity.
-    pub batching: BatchingConfig,
-    /// Adaptive threshold tuner driven by the live latency histogram.
-    pub tuner: TunerConfig,
-    /// Distributed backend: promote coalesced groups to the simulated
-    /// coded machine with heartbeat failure detection.
-    pub distributed: DistributedConfig,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> ServiceConfig {
-        ServiceConfig {
-            shed_after_ms: None,
-            plan_cache_capacity: 8,
-            kernel_policy: KernelPolicy::default(),
-            verify_residues: true,
-            verify: VerifyPolicy::default(),
-            retry: RetryPolicy::default(),
-            breaker: BreakerPolicy::default(),
-            chaos: None,
-            batching: BatchingConfig::default(),
-            tuner: TunerConfig::default(),
-            distributed: DistributedConfig::default(),
-        }
-    }
-}
-
-/// The sharded topology: N [`crate::MulService`] shards behind a
-/// [`crate::Router`] with rendezvous-hash placement on (kernel,
-/// size-class), per-shard heartbeat liveness, failover re-routing, and
-/// cross-shard work stealing. Every shard runs the same
-/// [`ServiceConfig`] template; the chaos injector inside that template
-/// also drives shard-level faults (`shard_kill` / `shard_stall`),
-/// decided deterministically per (seed, shard, monitor round).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardConfig {
-    /// Number of service shards behind the router.
-    pub shards: usize,
-    /// Per-shard service configuration template.
-    pub service: ServiceConfig,
-    /// Monitor cadence: each shard posts one heartbeat per period of
-    /// this many milliseconds, and the router's monitor samples all
-    /// watermarks and derives one liveness verdict per period.
-    pub heartbeat_ms: u64,
-    /// Monitor rounds a shard's watermark may lag before the verdict
-    /// declares it dead (service-level `deadline_budget`; the shard
-    /// passes through *suspect* after one missed beat). The default of
-    /// 3 tolerates scheduling jitter between the beat and monitor
-    /// threads without flapping.
-    pub deadline_budget: u64,
-    /// Work stealing: when a request's owner shard has more than this
-    /// many requests queued, the router looks for an idle sibling.
-    pub hot_watermark: usize,
-    /// …and steals to a live sibling whose queue depth is at or below
-    /// this.
-    pub idle_watermark: usize,
-    /// Most times one request may be failed over to another shard after
-    /// its current shard dies under it, before the error surfaces to
-    /// the caller.
-    pub max_failovers: u32,
-}
-
-impl Default for ShardConfig {
-    fn default() -> ShardConfig {
-        ShardConfig {
-            shards: 3,
-            service: ServiceConfig::default(),
-            heartbeat_ms: 20,
-            deadline_budget: 3,
-            hot_watermark: 32,
-            idle_watermark: 2,
-            max_failovers: 3,
-        }
-    }
-}
-
-impl ShardConfig {
-    /// Parse a topology config from JSON text; absent fields keep their
-    /// defaults.
-    ///
-    /// ```
-    /// use ft_service::ShardConfig;
-    /// let cfg = ShardConfig::from_json(
-    ///     r#"{"shards": 4, "deadline_budget": 2, "service": {"shed_after_ms": 50}}"#,
-    /// ).unwrap();
-    /// assert_eq!(cfg.shards, 4);
-    /// assert_eq!(cfg.service.shed_after_ms, Some(50));
-    /// assert_eq!(cfg.heartbeat_ms, ShardConfig::default().heartbeat_ms);
-    /// ```
-    pub fn from_json(text: &str) -> Result<ShardConfig, ConfigError> {
-        let json = Json::parse(text).map_err(ConfigError::Parse)?;
-        let d = ShardConfig::default();
-        let service = match json.get("service") {
-            None => d.service.clone(),
-            Some(v) => ServiceConfig::from_json(&v.dump())?,
-        };
-        let cfg = ShardConfig {
-            shards: field_usize(&json, "shards", d.shards)?,
-            service,
-            heartbeat_ms: field_u64(&json, "heartbeat_ms", d.heartbeat_ms)?,
-            deadline_budget: field_u64(&json, "deadline_budget", d.deadline_budget)?,
-            hot_watermark: field_usize(&json, "hot_watermark", d.hot_watermark)?,
-            idle_watermark: field_usize(&json, "idle_watermark", d.idle_watermark)?,
-            max_failovers: field_u32(&json, "max_failovers", d.max_failovers)?,
-        };
-        if cfg.shards == 0 {
-            return Err(ConfigError::Invalid("shards must be >= 1".to_string()));
-        }
-        if cfg.heartbeat_ms == 0 {
-            return Err(ConfigError::Invalid(
-                "heartbeat_ms must be >= 1".to_string(),
-            ));
-        }
-        if cfg.deadline_budget == 0 {
-            return Err(ConfigError::Invalid(
-                "deadline_budget must be >= 1".to_string(),
-            ));
-        }
-        if cfg.idle_watermark > cfg.hot_watermark {
-            return Err(ConfigError::Invalid(
-                "idle_watermark must not exceed hot_watermark".to_string(),
-            ));
-        }
-        Ok(cfg)
-    }
-
-    /// Serialize to compact JSON (round-trips through [`Self::from_json`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let service = Json::parse(&self.service.to_json()).expect("service config JSON");
-        obj([
-            ("shards", Json::Num(self.shards as i128)),
-            ("service", service),
-            ("heartbeat_ms", Json::Num(i128::from(self.heartbeat_ms))),
-            (
-                "deadline_budget",
-                Json::Num(i128::from(self.deadline_budget)),
-            ),
-            ("hot_watermark", Json::Num(self.hot_watermark as i128)),
-            ("idle_watermark", Json::Num(self.idle_watermark as i128)),
-            ("max_failovers", Json::Num(i128::from(self.max_failovers))),
-        ])
-        .dump()
-    }
-}
-
-/// Config validation / parse failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The document was not valid JSON.
-    Parse(JsonError),
-    /// A field was missing, mistyped, or out of range.
-    Invalid(String),
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::Parse(e) => write!(f, "config parse error: {e}"),
-            ConfigError::Invalid(msg) => write!(f, "invalid config: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-pub(crate) fn field_u64(json: &Json, key: &str, default: u64) -> Result<u64, ConfigError> {
-    match json.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| ConfigError::Invalid(format!("{key} must be a non-negative integer"))),
-    }
-}
-
-pub(crate) fn field_u32(json: &Json, key: &str, default: u32) -> Result<u32, ConfigError> {
-    let wide = field_u64(json, key, u64::from(default))?;
-    u32::try_from(wide)
-        .map_err(|_| ConfigError::Invalid(format!("{key} must fit in an unsigned 32-bit integer")))
-}
-
-pub(crate) fn field_usize(json: &Json, key: &str, default: usize) -> Result<usize, ConfigError> {
-    match json.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| ConfigError::Invalid(format!("{key} must be a non-negative integer"))),
-    }
-}
-
-impl KernelPolicy {
-    /// Read a policy from a parsed JSON object; absent fields keep their
-    /// defaults.
-    pub fn from_json(json: &Json) -> Result<KernelPolicy, ConfigError> {
-        let d = KernelPolicy::default();
-        let policy = KernelPolicy {
-            schoolbook_max_bits: field_u64(json, "schoolbook_max_bits", d.schoolbook_max_bits)?,
-            seq_toom_max_bits: field_u64(json, "seq_toom_max_bits", d.seq_toom_max_bits)?,
-            ntt_min_bits: field_u64(json, "ntt_min_bits", d.ntt_min_bits)?,
-            seq_toom_k: field_usize(json, "seq_toom_k", d.seq_toom_k)?,
-            par_toom_k: field_usize(json, "par_toom_k", d.par_toom_k)?,
-            toom_threshold_bits: field_u64(json, "toom_threshold_bits", d.toom_threshold_bits)?,
-            par_depth: field_usize(json, "par_depth", d.par_depth)?,
-        };
-        if policy.schoolbook_max_bits > policy.seq_toom_max_bits {
-            return Err(ConfigError::Invalid(
-                "schoolbook_max_bits must not exceed seq_toom_max_bits".to_string(),
-            ));
-        }
-        if policy.seq_toom_max_bits > policy.ntt_min_bits {
-            return Err(ConfigError::Invalid(
-                "seq_toom_max_bits must not exceed ntt_min_bits".to_string(),
-            ));
-        }
-        if policy.seq_toom_k < 2 || policy.par_toom_k < 2 {
-            return Err(ConfigError::Invalid(
-                "toom k parameters must be >= 2".to_string(),
-            ));
-        }
-        Ok(policy)
-    }
-
-    fn to_json_value(&self) -> Json {
-        obj([
-            (
-                "schoolbook_max_bits",
-                Json::Num(i128::from(self.schoolbook_max_bits)),
-            ),
-            (
-                "seq_toom_max_bits",
-                Json::Num(i128::from(self.seq_toom_max_bits)),
-            ),
-            ("ntt_min_bits", Json::Num(i128::from(self.ntt_min_bits))),
-            ("seq_toom_k", Json::Num(self.seq_toom_k as i128)),
-            ("par_toom_k", Json::Num(self.par_toom_k as i128)),
-            (
-                "toom_threshold_bits",
-                Json::Num(i128::from(self.toom_threshold_bits)),
-            ),
-            ("par_depth", Json::Num(self.par_depth as i128)),
-        ])
+options! {
+    /// Full service configuration. [`Self::from_json`] rejects keys no row
+    /// declares, except five retired ones that load and are ignored:
+    /// `workers`, `queue_capacity`, `batch_max`, `batching.lanes` and
+    /// `chaos.escalate_panics`.
+    pub struct ServiceConfig {
+        /// Queue-age bound in milliseconds after which deadline-less
+        /// requests are shed ([`crate::MulError::Shed`]); `None` disables
+        /// shedding.
+        pub shed_after_ms: Option<u64> = None;
+        /// Capacity of the shared Toom-plan LRU cache.
+        pub plan_cache_capacity: usize = 8, 1..;
+        /// Kernel selection thresholds.
+        pub kernel_policy: KernelPolicy = KernelPolicy::default();
+        /// Residue-spot-check every product (`ft_toom_core::residue`); a
+        /// mismatch counts as a soft fault and the request is retried.
+        pub verify_residues: bool = true;
+        /// Dual-algorithm verification rung: sampled re-computation with a
+        /// structurally distinct algorithm, escalating mismatches to a full
+        /// recompute (see [`crate::verify`]).
+        pub verify: VerifyPolicy = VerifyPolicy::default();
+        /// Per-request retry/backoff policy for supervised failures.
+        pub retry: RetryPolicy = RetryPolicy::default();
+        /// Per-kernel circuit-breaker policy.
+        pub breaker: BreakerPolicy = BreakerPolicy::default();
+        /// Optional deterministic fault-injection plan (chaos testing);
+        /// `None` injects nothing.
+        pub chaos: Option<ChaosConfig> = None;
+        /// Both lanes' coalescing window, batch bound, and queue capacity.
+        pub batching: BatchingConfig = BatchingConfig::default();
+        /// Adaptive threshold tuner driven by the live latency histogram.
+        pub tuner: TunerConfig = TunerConfig::default();
+        /// Distributed backend: promote coalesced groups to the simulated
+        /// coded machine with heartbeat failure detection.
+        pub distributed: DistributedConfig = DistributedConfig::default();
     }
 }
 
 impl ServiceConfig {
-    /// Parse a config from JSON text; absent fields keep their defaults.
+    /// Parse a config from JSON text; absent fields keep their defaults,
+    /// and a key no row declares is a [`ConfigError::UnknownKey`].
     ///
     /// ```
     /// use ft_service::ServiceConfig;
@@ -655,105 +492,110 @@ impl ServiceConfig {
     /// assert_eq!(cfg.batching, ServiceConfig::default().batching);
     /// ```
     pub fn from_json(text: &str) -> Result<ServiceConfig, ConfigError> {
-        let json = Json::parse(text).map_err(ConfigError::Parse)?;
-        let d = ServiceConfig::default();
-        let shed_after_ms = match json.get("shed_after_ms") {
-            None => d.shed_after_ms,
-            Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                ConfigError::Invalid("shed_after_ms must be an integer or null".to_string())
-            })?),
-        };
-        let kernel_policy = match json.get("kernel_policy") {
-            None => d.kernel_policy.clone(),
-            Some(v) => KernelPolicy::from_json(v)?,
-        };
-        let verify_residues = match json.get("verify_residues") {
-            None => d.verify_residues,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("verify_residues must be a boolean".to_string())
-            })?,
-        };
-        let verify = match json.get("verify") {
-            None => d.verify.clone(),
-            Some(v) => VerifyPolicy::from_json(v)?,
-        };
-        let retry = match json.get("retry") {
-            None => d.retry.clone(),
-            Some(v) => RetryPolicy::from_json(v)?,
-        };
-        let breaker = match json.get("breaker") {
-            None => d.breaker.clone(),
-            Some(v) => BreakerPolicy::from_json(v)?,
-        };
-        let chaos = match json.get("chaos") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(ChaosConfig::from_json(v)?),
-        };
-        let batching = match json.get("batching") {
-            None => d.batching.clone(),
-            Some(v) => BatchingConfig::from_json(v)?,
-        };
-        let tuner = match json.get("tuner") {
-            None => d.tuner.clone(),
-            Some(v) => TunerConfig::from_json(v)?,
-        };
-        let distributed = match json.get("distributed") {
-            None => d.distributed.clone(),
-            Some(v) => DistributedConfig::from_json(v)?,
-        };
-        let cfg = ServiceConfig {
-            shed_after_ms,
-            plan_cache_capacity: field_usize(&json, "plan_cache_capacity", d.plan_cache_capacity)?,
-            kernel_policy,
-            verify_residues,
-            verify,
-            retry,
-            breaker,
-            chaos,
-            batching,
-            tuner,
-            distributed,
-        };
-        if cfg.plan_cache_capacity == 0 {
-            return Err(ConfigError::Invalid(
-                "plan_cache_capacity must be >= 1".to_string(),
-            ));
-        }
-        Ok(cfg)
+        load(text)
     }
 
     /// Serialize to compact JSON (round-trips through [`Self::from_json`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        obj([
-            (
-                "shed_after_ms",
-                self.shed_after_ms
-                    .map_or(Json::Null, |ms| Json::Num(i128::from(ms))),
-            ),
-            (
-                "plan_cache_capacity",
-                Json::Num(self.plan_cache_capacity as i128),
-            ),
-            ("kernel_policy", self.kernel_policy.to_json_value()),
-            ("verify_residues", Json::Bool(self.verify_residues)),
-            ("verify", self.verify.to_json_value()),
-            ("retry", self.retry.to_json_value()),
-            ("breaker", self.breaker.to_json_value()),
-            (
-                "chaos",
-                self.chaos
-                    .as_ref()
-                    .map_or(Json::Null, ChaosConfig::to_json_value),
-            ),
-            ("batching", self.batching.to_json_value()),
-            ("tuner", self.tuner.to_json_value()),
-            ("distributed", self.distributed.to_json_value()),
-        ])
-        .dump()
+        Value::to_json_value(self).dump()
     }
 }
+
+options! {
+    /// The sharded topology: N [`crate::MulService`] shards behind a
+    /// [`crate::Router`] with rendezvous-hash placement on (kernel,
+    /// size-class), per-shard heartbeat liveness, failover re-routing, and
+    /// cross-shard work stealing. Every shard runs the same
+    /// [`ServiceConfig`] template; the chaos injector inside that template
+    /// also drives shard-level faults (`shard_kill` / `shard_stall`),
+    /// decided deterministically per (seed, shard, monitor round).
+    pub struct ShardConfig {
+        /// Number of service shards behind the router.
+        pub shards: usize = 3, 1..;
+        /// Per-shard service configuration template.
+        pub service: ServiceConfig = ServiceConfig::default();
+        /// Monitor cadence: each shard posts one heartbeat per period of
+        /// this many milliseconds, and the router's monitor samples all
+        /// watermarks and derives one liveness verdict per period.
+        pub heartbeat_ms: u64 = 20, 1..;
+        /// Monitor rounds a shard's watermark may lag before the verdict
+        /// declares it dead (service-level `deadline_budget`; the shard
+        /// passes through *suspect* after one missed beat). The default of
+        /// 3 tolerates scheduling jitter between the beat and monitor
+        /// threads without flapping.
+        pub deadline_budget: u64 = 3, 1..;
+        /// Work stealing: when a request's owner shard has more than this
+        /// many requests queued, the router looks for an idle sibling.
+        pub hot_watermark: usize = 32;
+        /// …and steals to a live sibling whose queue depth is at or below
+        /// this.
+        pub idle_watermark: usize = 2;
+        /// Most times one request may be failed over to another shard after
+        /// its current shard dies under it, before the error surfaces to
+        /// the caller.
+        pub max_failovers: u32 = 3;
+    }
+    check(s) {
+        s.idle_watermark <= s.hot_watermark => "idle_watermark must not exceed hot_watermark";
+    }
+}
+
+impl ShardConfig {
+    /// Parse a topology config from JSON text; absent fields keep their
+    /// defaults, and a key no row declares is a [`ConfigError::UnknownKey`].
+    ///
+    /// ```
+    /// use ft_service::ShardConfig;
+    /// let cfg = ShardConfig::from_json(
+    ///     r#"{"shards": 4, "deadline_budget": 2, "service": {"shed_after_ms": 50}}"#,
+    /// ).unwrap();
+    /// assert_eq!(cfg.shards, 4);
+    /// assert_eq!(cfg.service.shed_after_ms, Some(50));
+    /// assert_eq!(cfg.heartbeat_ms, ShardConfig::default().heartbeat_ms);
+    /// ```
+    pub fn from_json(text: &str) -> Result<ShardConfig, ConfigError> {
+        load(text)
+    }
+
+    /// Serialize to compact JSON (round-trips through [`Self::from_json`]).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        Value::to_json_value(self).dump()
+    }
+}
+
+/// Config validation / parse failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The document was not valid JSON.
+    Parse(JsonError),
+    /// A value was mistyped, outside its row's bounds, or broke one of its
+    /// section's cross-field rules.
+    Invalid(String),
+    /// A key that no row declares and that no removed option used.
+    UnknownKey {
+        /// The key's full dotted path, e.g. `batching.window_sus`.
+        path: String,
+        /// The declared key at the same level closest to it, as a full
+        /// path, e.g. `batching.window_us`.
+        nearest: String,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Parse(e) => write!(f, "config parse error: {e}"),
+            ConfigError::Invalid(msg) => write!(f, "invalid config: {msg}"),
+            ConfigError::UnknownKey { path, nearest } => {
+                write!(f, "unknown config key `{path}` (did you mean `{nearest}`?)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -905,12 +747,23 @@ mod tests {
             r#"{"distributed": {"heartbeat_period": 0}}"#,
             r#"{"distributed": {"enabled": 1}}"#,
             r#"{"distributed": {"faulty_attempts": 4294967296}}"#,
+            // A lone request is never promoted, so 1 would act as 2.
+            r#"{"distributed": {"min_group": 1}}"#,
+            // Machines of more than MAX_RANKS simulated ranks (threads).
+            r#"{"distributed": {"k": 10, "bfs_steps": 64}}"#,
+            r#"{"distributed": {"k": 3, "bfs_steps": 5}}"#,
+            r#"{"distributed": {"f": 2000}}"#,
+            r#"{"distributed": {"k": 9223372036854775807}}"#,
+            r#"{"distributed": {"bfs_steps": 18446744073709551615}}"#,
         ] {
             assert!(
                 matches!(ServiceConfig::from_json(bad), Err(ConfigError::Invalid(_))),
                 "{bad}"
             );
         }
+        // The largest machine under the cap: 3^5 · (3 + 1) = 972 ranks.
+        let largest = ServiceConfig::from_json(r#"{"distributed": {"bfs_steps": 6}}"#).unwrap();
+        assert_eq!(largest.distributed.bfs_steps, 6);
     }
 
     #[test]

@@ -853,6 +853,7 @@ pub(crate) fn execute_single(request: MulRequest, shared: &Shared) {
 mod tests {
     use super::*;
     use crate::config::{BatchingConfig, KernelPolicy, TunerConfig};
+    use crate::supervisor::RetryPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1060,6 +1061,27 @@ mod tests {
         let metrics = service.shutdown();
         assert_eq!(metrics.served, 2);
         assert_eq!(metrics.timed_out, 0, "a Far deadline never expires");
+    }
+
+    /// The largest retry budget must not overflow the attempt count and
+    /// take the lane down with it.
+    #[test]
+    fn huge_retry_budgets_saturate_instead_of_panicking() {
+        let service = MulService::start(ServiceConfig {
+            retry: RetryPolicy {
+                max_retries: u32::MAX,
+                ..RetryPolicy::default()
+            },
+            ..ServiceConfig::default()
+        });
+        let mut rng = rng(18);
+        for _ in 0..2 {
+            let a = BigInt::random_signed_bits(&mut rng, 600);
+            let b = BigInt::random_signed_bits(&mut rng, 600);
+            let want = a.mul_schoolbook(&b);
+            assert_eq!(service.submit(a, b).unwrap().wait().unwrap(), want);
+        }
+        assert_eq!(service.shutdown().served, 2);
     }
 
     /// A saturated (`Far`) deadline is still a deadline — shedding must

@@ -14,10 +14,9 @@
 //! same breaker, so a kernel that keeps miscalculating trips it too.
 
 use crate::chaos::{ChaosConfig, FaultKind, INJECTED_PANIC_MSG};
-use crate::config::ConfigError;
+use crate::config::options;
 use crate::distributed::DistributedBackend;
 use crate::error::MulError;
-use crate::json::{obj, Json};
 use crate::kernel::Kernel;
 use crate::metrics::{Metrics, Stat};
 use crate::plan_cache::PlanCache;
@@ -26,90 +25,35 @@ use ft_bigint::BigInt;
 use ft_toom_core::{residue, seq, ToomPlan};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Per-request retry policy: attempts and exponential backoff bounds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Same-kernel retries after the first attempt fails (the degradation
-    /// ladder can add up to two more attempts after these are exhausted).
-    pub max_retries: u32,
-    /// Backoff before retry `i` is `base · 2^i` ms, capped below.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff, ms.
-    pub backoff_max_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_ms: 1,
-            backoff_max_ms: 64,
-        }
+options! {
+    /// Per-request retry policy: attempts and exponential backoff bounds.
+    pub struct RetryPolicy {
+        /// Same-kernel retries after the first attempt fails (the degradation
+        /// ladder can add up to two more attempts after these are exhausted).
+        pub max_retries: u32 = 3;
+        /// Backoff before retry `i` is `base · 2^i` ms, capped below.
+        pub backoff_base_ms: u64 = 1;
+        /// Upper bound on any single backoff, ms.
+        pub backoff_max_ms: u64 = 64;
     }
 }
 
-/// Per-kernel circuit-breaker policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BreakerPolicy {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker diverts traffic before allowing a
-    /// half-open probe, ms.
-    pub open_ms: u64,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> BreakerPolicy {
-        BreakerPolicy {
-            failure_threshold: 5,
-            open_ms: 250,
-        }
+options! {
+    /// Per-kernel circuit-breaker policy.
+    pub struct BreakerPolicy {
+        /// Consecutive failures that trip the breaker open.
+        pub failure_threshold: u32 = 5, 1..;
+        /// How long an open breaker diverts traffic before allowing a
+        /// half-open probe, ms.
+        pub open_ms: u64 = 250;
     }
-}
-
-fn policy_u64(json: &Json, prefix: &str, key: &str, default: u64) -> Result<u64, ConfigError> {
-    match json.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ConfigError::Invalid(format!("{prefix}.{key} must be a non-negative integer"))
-        }),
-    }
-}
-
-fn policy_u32(json: &Json, prefix: &str, key: &str, default: u32) -> Result<u32, ConfigError> {
-    policy_u64(json, prefix, key, u64::from(default)).and_then(|v| {
-        u32::try_from(v).map_err(|_| ConfigError::Invalid(format!("{prefix}.{key} out of range")))
-    })
 }
 
 impl RetryPolicy {
-    /// Read a retry policy from a parsed JSON object; absent fields keep
-    /// their defaults.
-    pub fn from_json(json: &Json) -> Result<RetryPolicy, ConfigError> {
-        let d = RetryPolicy::default();
-        Ok(RetryPolicy {
-            max_retries: policy_u32(json, "retry", "max_retries", d.max_retries)?,
-            backoff_base_ms: policy_u64(json, "retry", "backoff_base_ms", d.backoff_base_ms)?,
-            backoff_max_ms: policy_u64(json, "retry", "backoff_max_ms", d.backoff_max_ms)?,
-        })
-    }
-
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            ("max_retries", Json::Num(i128::from(self.max_retries))),
-            (
-                "backoff_base_ms",
-                Json::Num(i128::from(self.backoff_base_ms)),
-            ),
-            ("backoff_max_ms", Json::Num(i128::from(self.backoff_max_ms))),
-        ])
-    }
-
     /// Backoff before retry `attempt` of `request`: exponential in the
     /// attempt with deterministic half-to-full jitter drawn from the
     /// request index (decorrelates retry storms, keeps tests exact).
@@ -126,39 +70,6 @@ impl RetryPolicy {
             0xb0ff ^ request.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt),
         );
         Duration::from_millis(exp / 2 + rng.random_range(0..exp / 2 + 1))
-    }
-}
-
-impl BreakerPolicy {
-    /// Read a breaker policy from a parsed JSON object; absent fields
-    /// keep their defaults.
-    pub fn from_json(json: &Json) -> Result<BreakerPolicy, ConfigError> {
-        let d = BreakerPolicy::default();
-        let policy = BreakerPolicy {
-            failure_threshold: policy_u32(
-                json,
-                "breaker",
-                "failure_threshold",
-                d.failure_threshold,
-            )?,
-            open_ms: policy_u64(json, "breaker", "open_ms", d.open_ms)?,
-        };
-        if policy.failure_threshold == 0 {
-            return Err(ConfigError::Invalid(
-                "breaker.failure_threshold must be >= 1".to_string(),
-            ));
-        }
-        Ok(policy)
-    }
-
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            (
-                "failure_threshold",
-                Json::Num(i128::from(self.failure_threshold)),
-            ),
-            ("open_ms", Json::Num(i128::from(self.open_ms))),
-        ])
     }
 }
 
@@ -421,7 +332,7 @@ impl Supervisor {
         metrics: &Metrics,
         start_attempt: u32,
     ) -> Result<(BigInt, Kernel), MulError> {
-        let max_attempts = self.retry.max_retries + 1;
+        let max_attempts = self.retry.max_retries.saturating_add(1);
         let mut forced: Option<Kernel> = None;
         let mut attempt: u32 = start_attempt;
         loop {
@@ -691,7 +602,8 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::chaos::install_quiet_panic_hook;
-    use crate::config::KernelPolicy;
+    use crate::config::{KernelPolicy, Value};
+    use crate::json::Json;
 
     fn supervisor_with(chaos: Option<ChaosConfig>, verify: bool) -> Supervisor {
         Supervisor::new(
@@ -1332,17 +1244,18 @@ mod tests {
             backoff_base_ms: 3,
             backoff_max_ms: 99,
         };
-        let parsed = RetryPolicy::from_json(&Json::parse(&retry.to_json_value().dump()).unwrap());
+        let parsed = RetryPolicy::from_json(&retry.to_json_value(), "retry");
         assert_eq!(parsed.unwrap(), retry);
         let breaker = BreakerPolicy {
             failure_threshold: 2,
             open_ms: 77,
         };
-        let parsed =
-            BreakerPolicy::from_json(&Json::parse(&breaker.to_json_value().dump()).unwrap());
+        let parsed = BreakerPolicy::from_json(&breaker.to_json_value(), "breaker");
         assert_eq!(parsed.unwrap(), breaker);
-        assert!(
-            BreakerPolicy::from_json(&Json::parse(r#"{"failure_threshold": 0}"#).unwrap()).is_err()
-        );
+        assert!(BreakerPolicy::from_json(
+            &Json::parse(r#"{"failure_threshold": 0}"#).unwrap(),
+            "breaker"
+        )
+        .is_err());
     }
 }

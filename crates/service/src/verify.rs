@@ -17,51 +17,41 @@
 //! in [`crate::supervisor`], metered per rung in
 //! [`crate::metrics::VerifySnapshot`].
 
-use crate::config::{field_u32, field_u64, field_usize, ConfigError};
-use crate::json::{obj, Json};
+use crate::config::options;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// JSON-loadable policy for the dual-algorithm verification rung.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerifyPolicy {
-    /// Dual-check sampling rate per 10 000 requests (0 disables the rung,
-    /// 10 000 checks every request). Sampling is deterministic in
-    /// `(sample_seed, request index)`, like chaos injection.
-    pub dual_per_10k: u32,
-    /// At or below this operand size (min of the two operands' bit
-    /// lengths), the dual check uses plain limb multiplication; above it,
-    /// Toom-Cook on the alternate point set.
-    pub dual_small_max_bits: u64,
-    /// Operands larger than this (min bit length) are never dual-checked —
-    /// the size guard that keeps worst-case sampled overhead bounded. The
-    /// default (32 Mbit) deliberately covers the NTT regime past
-    /// `KernelPolicy::ntt_min_bits`: NTT-served products there dual-check
-    /// against alternate-point Toom, a structurally distinct algorithm
-    /// with no shared transform/twiddle machinery, and the measured rung-1
-    /// residue cost stays negligible at those sizes (see EXPERIMENTS.md
-    /// §S9) so the ladder is affordable where the new kernel serves.
-    pub dual_max_bits: u64,
-    /// Split parameter for the alternate-point Toom dual check.
-    pub dual_toom_k: usize,
-    /// Charge a recompute-confirmed corruption to the serving kernel's
-    /// circuit breaker, so repeated offenders trip it.
-    pub breaker_on_mismatch: bool,
-    /// Seed of the deterministic sampling stream.
-    pub sample_seed: u64,
-}
-
-impl Default for VerifyPolicy {
-    fn default() -> VerifyPolicy {
-        VerifyPolicy {
-            dual_per_10k: 250,
-            dual_small_max_bits: 16_384,
-            dual_max_bits: 1 << 25,
-            dual_toom_k: 3,
-            breaker_on_mismatch: true,
-            sample_seed: 0,
-        }
+options! {
+    /// JSON-loadable policy for the dual-algorithm verification rung.
+    pub struct VerifyPolicy {
+        /// Dual-check sampling rate per 10 000 requests (0 disables the rung,
+        /// 10 000 checks every request). Sampling is deterministic in
+        /// `(sample_seed, request index)`, like chaos injection.
+        pub dual_per_10k: u32 = 250, ..=10_000;
+        /// At or below this operand size (min of the two operands' bit
+        /// lengths), the dual check uses plain limb multiplication; above it,
+        /// Toom-Cook on the alternate point set.
+        pub dual_small_max_bits: u64 = 16_384;
+        /// Operands larger than this (min bit length) are never dual-checked —
+        /// the size guard that keeps worst-case sampled overhead bounded. The
+        /// default (32 Mbit) deliberately covers the NTT regime past
+        /// `KernelPolicy::ntt_min_bits`: NTT-served products there dual-check
+        /// against alternate-point Toom, a structurally distinct algorithm
+        /// with no shared transform/twiddle machinery, and the measured rung-1
+        /// residue cost stays negligible at those sizes (see EXPERIMENTS.md
+        /// §S9) so the ladder is affordable where the new kernel serves.
+        pub dual_max_bits: u64 = 1 << 25;
+        /// Split parameter for the alternate-point Toom dual check.
+        pub dual_toom_k: usize = 3, 2..;
+        /// Charge a recompute-confirmed corruption to the serving kernel's
+        /// circuit breaker, so repeated offenders trip it.
+        pub breaker_on_mismatch: bool = true;
+        /// Seed of the deterministic sampling stream.
+        pub sample_seed: u64 = 0;
+    }
+    check(p) {
+        p.dual_small_max_bits <= p.dual_max_bits
+            => "dual_small_max_bits must not exceed dual_max_bits";
     }
 }
 
@@ -90,64 +80,13 @@ impl VerifyPolicy {
         let draw = rng.random_range(0..10_000) as u32;
         draw < self.dual_per_10k
     }
-
-    /// Read a policy from a parsed JSON object; absent fields keep their
-    /// defaults.
-    pub fn from_json(json: &Json) -> Result<VerifyPolicy, ConfigError> {
-        let d = VerifyPolicy::default();
-        let breaker_on_mismatch = match json.get("breaker_on_mismatch") {
-            None => d.breaker_on_mismatch,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("verify.breaker_on_mismatch must be a boolean".to_string())
-            })?,
-        };
-        let policy = VerifyPolicy {
-            dual_per_10k: field_u32(json, "dual_per_10k", d.dual_per_10k)?,
-            dual_small_max_bits: field_u64(json, "dual_small_max_bits", d.dual_small_max_bits)?,
-            dual_max_bits: field_u64(json, "dual_max_bits", d.dual_max_bits)?,
-            dual_toom_k: field_usize(json, "dual_toom_k", d.dual_toom_k)?,
-            breaker_on_mismatch,
-            sample_seed: field_u64(json, "sample_seed", d.sample_seed)?,
-        };
-        if policy.dual_per_10k > 10_000 {
-            return Err(ConfigError::Invalid(
-                "verify.dual_per_10k must be at most 10000".to_string(),
-            ));
-        }
-        if policy.dual_toom_k < 2 {
-            return Err(ConfigError::Invalid(
-                "verify.dual_toom_k must be >= 2".to_string(),
-            ));
-        }
-        if policy.dual_small_max_bits > policy.dual_max_bits {
-            return Err(ConfigError::Invalid(
-                "verify.dual_small_max_bits must not exceed dual_max_bits".to_string(),
-            ));
-        }
-        Ok(policy)
-    }
-
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            ("dual_per_10k", Json::Num(i128::from(self.dual_per_10k))),
-            (
-                "dual_small_max_bits",
-                Json::Num(i128::from(self.dual_small_max_bits)),
-            ),
-            ("dual_max_bits", Json::Num(i128::from(self.dual_max_bits))),
-            (
-                "dual_toom_k",
-                Json::Num(i128::try_from(self.dual_toom_k).unwrap_or(i128::MAX)),
-            ),
-            ("breaker_on_mismatch", Json::Bool(self.breaker_on_mismatch)),
-            ("sample_seed", Json::Num(i128::from(self.sample_seed))),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Value;
+    use crate::json::Json;
 
     #[test]
     fn sampling_is_deterministic_and_tracks_the_rate() {
@@ -197,10 +136,10 @@ mod tests {
             sample_seed: 7,
         };
         let text = policy.to_json_value().dump();
-        let parsed = VerifyPolicy::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let parsed = VerifyPolicy::from_json(&Json::parse(&text).unwrap(), "verify").unwrap();
         assert_eq!(parsed, policy);
         // Absent fields keep defaults.
-        let empty = VerifyPolicy::from_json(&Json::parse("{}").unwrap()).unwrap();
+        let empty = VerifyPolicy::from_json(&Json::parse("{}").unwrap(), "verify").unwrap();
         assert_eq!(empty, VerifyPolicy::default());
     }
 
@@ -214,7 +153,7 @@ mod tests {
             r#"{"dual_per_10k": -3}"#,
         ] {
             assert!(
-                VerifyPolicy::from_json(&Json::parse(bad).unwrap()).is_err(),
+                VerifyPolicy::from_json(&Json::parse(bad).unwrap(), "verify").is_err(),
                 "{bad}"
             );
         }

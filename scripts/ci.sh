@@ -18,6 +18,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== examples (every root example runs; a panic or non-zero exit fails) =="
+# The test leg above only builds the examples. Most of them check their
+# products against schoolbook, and the service demos build configs from
+# the public structs and print `to_json()`, so this also smoke-tests the
+# config declarations.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "-- $name --"
+  cargo run --release -q --example "$name" >/dev/null
+done
+
 echo "== repository benchmark: build and test (ftbench/, its own workspace) =="
 # ftbench/ is a separate cargo workspace, so the workspace test above
 # never compiles it; this leg catches an ft-service or ft-http API change
