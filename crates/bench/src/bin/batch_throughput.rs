@@ -226,12 +226,13 @@ fn main() {
 }
 
 /// Carry the single-line sections other benches merged into
-/// `BENCH_service.json` (`verify_ladder`) over into the fresh `json`.
+/// `BENCH_service.json` (`verify`, from verify_overhead) over into the
+/// fresh `json`.
 fn keep_sections(json: &str) -> String {
     let existing = std::fs::read_to_string("BENCH_service.json").unwrap_or_default();
     let kept: Vec<&str> = existing
         .lines()
-        .filter(|l| l.trim_start().starts_with("\"verify_ladder\":"))
+        .filter(|l| l.trim_start().starts_with("\"verify\":"))
         .map(|l| l.trim_end_matches(','))
         .collect();
     if kept.is_empty() {

@@ -7,7 +7,7 @@
 //! `W^T` denominator-cleared ([`ScaledIntMatrix`]) so interpolation runs in
 //! pure metered integer arithmetic with one exact division per output.
 
-use crate::points::{alternate_points, classic_points};
+use crate::points::classic_points;
 use ft_algebra::points::eval_matrix;
 use ft_algebra::{HPoint, Matrix, ScaledIntMatrix};
 use ft_bigint::workspace::Workspace;
@@ -83,41 +83,6 @@ impl ToomPlan {
         let mut map = cache.lock().expect("plan cache poisoned");
         map.entry(k)
             .or_insert_with(|| Arc::new(ToomPlan::new(k)))
-            .clone()
-    }
-
-    /// Plan for Toom-Cook-`k` on the alternate point set
-    /// ([`alternate_points`]): projectively disjoint from the classic set,
-    /// so its evaluation rows, interpolation matrix, and (absent) inversion
-    /// sequence share nothing with [`ToomPlan::new`]. This is the
-    /// structurally distinct second algorithm of the dual-algorithm
-    /// verification rung: a soft error in either pipeline makes the two
-    /// products disagree (cf. the Strassen-like ABFT construction).
-    ///
-    /// # Panics
-    /// Panics if `k < 2`.
-    #[must_use]
-    pub fn alternate(k: usize) -> ToomPlan {
-        ToomPlan::with_points(k, alternate_points(k))
-    }
-
-    /// A process-wide shared plan for the alternate point set — the
-    /// dual-check counterpart of [`ToomPlan::shared`], with its own slots
-    /// so the two families never alias.
-    #[must_use]
-    pub fn shared_alternate(k: usize) -> Arc<ToomPlan> {
-        const SLOTS: usize = 9;
-        static FAST: [OnceLock<Arc<ToomPlan>>; SLOTS] = [const { OnceLock::new() }; SLOTS];
-        if let Some(slot) = FAST.get(k) {
-            return slot
-                .get_or_init(|| Arc::new(ToomPlan::alternate(k)))
-                .clone();
-        }
-        static CACHE: OnceLock<Mutex<HashMap<usize, Arc<ToomPlan>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().expect("plan cache poisoned");
-        map.entry(k)
-            .or_insert_with(|| Arc::new(ToomPlan::alternate(k)))
             .clone()
     }
 
@@ -382,52 +347,6 @@ mod tests {
         let p2 = ToomPlan::shared(3);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(ToomPlan::shared(2).k(), 2);
-    }
-
-    #[test]
-    fn alternate_plan_computes_the_same_bilinear_form() {
-        // The dual-check plan must agree with the classic plan on every
-        // convolution while sharing no structure with it.
-        for k in 2..=5 {
-            let alt = ToomPlan::alternate(k);
-            assert!(
-                alt.sequence().is_none(),
-                "k={k}: alternate plan must use dense interpolation (no shared schedule)"
-            );
-            let a: Vec<BigInt> = (1..=k as i64).map(|v| b(7 * v - 11)).collect();
-            let c: Vec<BigInt> = (1..=k as i64).map(|v| b(-3 * v + 5)).collect();
-            let prods: Vec<BigInt> = alt
-                .evaluate(&a)
-                .iter()
-                .zip(&alt.evaluate(&c))
-                .map(|(x, y)| x * y)
-                .collect();
-            let classic = ToomPlan::new(k);
-            let cprods: Vec<BigInt> = classic
-                .evaluate(&a)
-                .iter()
-                .zip(&classic.evaluate(&c))
-                .map(|(x, y)| x * y)
-                .collect();
-            assert_eq!(
-                alt.interpolate(&prods),
-                classic.interpolate(&cprods),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_alternate_is_cached_and_distinct_from_shared() {
-        let a1 = ToomPlan::shared_alternate(3);
-        let a2 = ToomPlan::shared_alternate(3);
-        assert!(Arc::ptr_eq(&a1, &a2));
-        let classic = ToomPlan::shared(3);
-        assert!(!Arc::ptr_eq(&a1, &classic));
-        for (p, q) in a1.points().iter().zip(classic.points()) {
-            assert!(!p.proj_eq(q));
-        }
-        assert_eq!(ToomPlan::shared_alternate(12).k(), 12);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | [`ft`] | §4, §5.2, §6 | linear-coded, polynomial-coded, and combined fault tolerance |
 //! | [`baselines`] | §5.3 | replication and checkpoint/recompute baselines |
 //! | [`soft`] | §7 | soft-fault detection via redundant evaluations |
-//! | [`residue`] | §7 (spirit) | O(n) word-residue (2^64 ± 1) spot-check of any product |
+//! | [`residue`] | §7 (spirit) | O(n) check of any product modulo two secret 61-bit primes |
 //! | [`cost`] | §5 | closed-form cost formulas (Theorems 5.1–5.3) |
 //! | [`rayon_engine`] | practice | shared-memory parallel Toom-Cook for wall-clock benches |
 //!

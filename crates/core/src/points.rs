@@ -41,38 +41,6 @@ pub fn n_points(n: usize) -> Vec<HPoint> {
     pts
 }
 
-/// A second family of `2k−1` evaluation points for Toom-Cook-`k`,
-/// projectively distinct from *every* point of [`classic_points`]`(k)`:
-/// `k, −k, k+1, −(k+1), …` (all affine, no `0`, no `∞`).
-///
-/// The classic family uses `0`, `∞`, and affine magnitudes up to `k−1`,
-/// so starting at magnitude `k` guarantees disjointness for every `k`.
-/// A plan built on this set (see `ToomPlan::shared_alternate` in
-/// `ft-core`) shares no evaluation row, no interpolation matrix, and no
-/// Toom-Graph inversion sequence with the classic plan — the structurally
-/// distinct second algorithm of a dual-algorithm (ABFT-style) cross-check:
-/// a soft error in either evaluation pipeline makes the two products
-/// disagree.
-///
-/// # Panics
-/// Panics if `k < 2`.
-#[must_use]
-pub fn alternate_points(k: usize) -> Vec<HPoint> {
-    assert!(k >= 2, "Toom-Cook needs k >= 2");
-    let n = 2 * k - 1;
-    let mut pts = Vec::with_capacity(n);
-    let mut mag = i64::try_from(k).expect("k fits in i64");
-    let mut positive = true;
-    while pts.len() < n {
-        pts.push(HPoint::affine(if positive { mag } else { -mag }));
-        if !positive {
-            mag += 1;
-        }
-        positive = !positive;
-    }
-    pts
-}
-
 /// Extend a point set with `f` fresh affine points from the classic family
 /// (projectively distinct from all existing points) — the redundant
 /// evaluation points of the polynomial code (§4.2).
@@ -156,43 +124,6 @@ mod tests {
                 });
             }
         }
-    }
-
-    #[test]
-    fn alternate_points_are_distinct_invertible_and_disjoint_from_classic() {
-        for k in 2..=6 {
-            let alt = alternate_points(k);
-            assert_eq!(alt.len(), 2 * k - 1);
-            for i in 0..alt.len() {
-                for j in 0..i {
-                    assert!(!alt[i].proj_eq(&alt[j]), "k={k}: {i} vs {j}");
-                }
-            }
-            // Disjoint from every classic point — the structural-distinctness
-            // guarantee the dual-algorithm cross-check relies on.
-            for p in &classic_points(k) {
-                for q in &alt {
-                    assert!(!p.proj_eq(q), "k={k}: classic {p:?} == alternate {q:?}");
-                }
-            }
-            let m = eval_matrix(&alt, 2 * k - 1);
-            assert!(!m.det_bareiss().is_zero(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn alternate_tc3_starts_at_magnitude_k() {
-        let pts = alternate_points(3);
-        assert_eq!(
-            pts,
-            vec![
-                HPoint::affine(3),
-                HPoint::affine(-3),
-                HPoint::affine(4),
-                HPoint::affine(-4),
-                HPoint::affine(5),
-            ]
-        );
     }
 
     #[test]

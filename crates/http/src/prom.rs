@@ -260,10 +260,8 @@ mod tests {
         assert!(text.contains("ft_request_latency_quantile_us{quantile=\"0.999\"} 0"));
         assert!(text.contains("ft_distributed_detect_rounds_total 0"));
         assert!(text.contains("ftsvc_verify_checks_total{rung=\"residue\"} 0"));
-        assert!(text.contains("ftsvc_verify_checks_total{rung=\"dual\"} 0"));
-        assert!(text.contains("ftsvc_verify_failures_total{rung=\"recompute\"} 0"));
-        assert!(text.contains("ftsvc_verify_cost_us_total{rung=\"dual\"} 0"));
-        assert!(text.contains("ftsvc_verify_escalations_total 0"));
+        assert!(text.contains("ftsvc_verify_failures_total{rung=\"residue\"} 0"));
+        assert!(text.contains("ftsvc_verify_cost_us_total{rung=\"residue\"} 0"));
         assert!(text.contains("ftsvc_router_shards 0"));
         assert!(text.contains("ftsvc_router_shard_deaths_total 0"));
         assert!(text.contains("ftsvc_router_failovers_total 0"));

@@ -100,8 +100,10 @@ fn mixed_traffic_over_one_keep_alive_connection() {
     let cfg = Json::parse(&rsp.text()).expect("config JSON");
     assert!(cfg.get("batching").is_some());
     assert!(cfg.get("distributed").is_some());
-    let verify = cfg.get("verify").expect("verify policy in config");
-    assert!(verify.get("dual_per_10k").and_then(Json::as_u64).is_some());
+    assert_eq!(
+        cfg.get("verify_residues").and_then(Json::as_bool),
+        Some(true)
+    );
 
     // JSON metrics snapshot: the work above is visible.
     let rsp = client.request("GET", "/v1/metrics", None).unwrap();
@@ -109,12 +111,15 @@ fn mixed_traffic_over_one_keep_alive_connection() {
     let served = snap.get("served").and_then(Json::as_u64).unwrap();
     assert!(served >= 10, "served {served}");
     assert!(snap.get("latency_quantiles").is_some());
-    let ladder = snap.get("verify").expect("verify group in metrics");
-    assert!(ladder
+    let verify = snap.get("verify").expect("verify group in metrics");
+    assert!(verify
         .get("residue_checks")
         .and_then(Json::as_u64)
         .is_some());
-    assert!(ladder.get("escalations").and_then(Json::as_u64).is_some());
+    assert!(verify
+        .get("residue_cost_us")
+        .and_then(Json::as_u64)
+        .is_some());
 
     // Prometheus exposition: service counters, quantile gauges,
     // distributed/detector counters, and the HTTP layer itself.
@@ -134,8 +139,8 @@ fn mixed_traffic_over_one_keep_alive_connection() {
         "ft_verification_failures_total",
         "# TYPE ftsvc_verify_checks_total counter",
         "ftsvc_verify_checks_total{rung=\"residue\"}",
-        "ftsvc_verify_cost_us_total{rung=\"recompute\"}",
-        "ftsvc_verify_escalations_total",
+        "ftsvc_verify_cost_us_total{rung=\"residue\"}",
+        "ftsvc_verify_failures_total{rung=\"residue\"}",
         "http_requests_total{route=\"mul\",code=\"200\"}",
         "http_streamed_results_total 5",
         "http_connections_total",

@@ -63,13 +63,7 @@ fn full_snapshot() -> MetricsSnapshot {
             residue_checks: 301,
             residue_failures: 302,
             residue_cost_us: 303,
-            dual_checks: 304,
-            dual_failures: 305,
-            dual_cost_us: 306,
-            recompute_checks: 307,
-            recompute_failures: 308,
-            recompute_cost_us: 309,
-            escalations: 310,
+            ..VerifySnapshot::default()
         },
         breaker_opens: 119,
         breaker_closes: 120,
@@ -110,7 +104,7 @@ fn merged_snapshot() -> MetricsSnapshot {
     acc.queue_depth_high_water = 9_999;
     acc.batch_size_high_water = 1;
     acc.distributed.max_detect_latency_ticks = 2;
-    acc.verify.dual_cost_us = u64::MAX - 5;
+    acc.verify.residue_cost_us = u64::MAX - 5;
     acc.kernel_classes = vec![KernelClassRow {
         kernel: "schoolbook",
         class_bits: 1 << 10,
@@ -224,9 +218,8 @@ const GOLDEN_JSON: &str = "{\"batching\":{\"batch_element_retries\":110,\"batch_
     \"size_classes\":[{\"class_bits\":1024,\"kernel\":\"schoolbook\",\"mean_us\":125,\
     \"served\":8},{\"class_bits\":16384,\"kernel\":\"seq_toom\",\"mean_us\":3000,\"served\":3},\
     {\"class_bits\":4194304,\"kernel\":\"ntt\",\"mean_us\":700000,\"served\":2}],\"timed_out\":102,\
-    \"tuner_retunes\":111,\"verify\":{\"dual_checks\":304,\"dual_cost_us\":18446744073709551615,\
-    \"dual_failures\":305,\"escalations\":310,\"recompute_checks\":307,\"recompute_cost_us\":309,\
-    \"recompute_failures\":308,\"residue_checks\":301,\"residue_cost_us\":303,\"residue_failures\":302}}";
+    \"tuner_retunes\":111,\"verify\":{\"residue_checks\":301,\"residue_cost_us\":18446744073709551615,\
+    \"residue_failures\":302}}";
 
 const GOLDEN_SCRAPE: &str = r#"# TYPE ft_batch_element_retries_total counter
 # TYPE ft_batch_faults_total counter
@@ -269,7 +262,6 @@ const GOLDEN_SCRAPE: &str = r#"# TYPE ft_batch_element_retries_total counter
 # TYPE ftsvc_router_steals_total counter
 # TYPE ftsvc_verify_checks_total counter
 # TYPE ftsvc_verify_cost_us_total counter
-# TYPE ftsvc_verify_escalations_total counter
 # TYPE ftsvc_verify_failures_total counter
 # TYPE http_accept_errors_total counter
 # TYPE http_connections_active gauge
@@ -339,15 +331,8 @@ ftsvc_router_shard_deaths_total 1
 ftsvc_router_shards 3
 ftsvc_router_shards_live 2
 ftsvc_router_steals_total 4
-ftsvc_verify_checks_total{rung="dual"} 304
-ftsvc_verify_checks_total{rung="recompute"} 307
 ftsvc_verify_checks_total{rung="residue"} 301
-ftsvc_verify_cost_us_total{rung="dual"} 18446744073709551615
-ftsvc_verify_cost_us_total{rung="recompute"} 309
-ftsvc_verify_cost_us_total{rung="residue"} 303
-ftsvc_verify_escalations_total 310
-ftsvc_verify_failures_total{rung="dual"} 305
-ftsvc_verify_failures_total{rung="recompute"} 308
+ftsvc_verify_cost_us_total{rung="residue"} 18446744073709551615
 ftsvc_verify_failures_total{rung="residue"} 302
 http_accept_errors_total 5
 http_connections_active 3

@@ -37,7 +37,7 @@ pub enum FaultKind {
     Panic,
     /// Delay fault: the kernel sleeps before computing (straggler).
     Straggle,
-    /// Soft fault: one limb of the product is silently bit-flipped.
+    /// Soft fault: the product is silently corrupted ([`CorruptionKind`]).
     Corrupt,
     /// Shard-level fail-stop: the whole shard dies — heartbeats stop and
     /// queued work resolves as `ServiceStopped` for the router to fail
@@ -83,15 +83,16 @@ impl FaultKind {
 /// How an injected soft fault corrupts a product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CorruptionKind {
-    /// Flip one pseudo-random bit of one limb. Deterministically caught by
-    /// the residue spot-check (the delta `c · 2^{64i}` with `0 < |c| < 2^64`
-    /// is never `≡ 0 (mod 2^64 + 1)`).
+    /// Flip one pseudo-random bit of one limb. The product check always
+    /// catches it: the delta `c · 2^{64i}` with `0 < |c| < 2^64` is
+    /// divisible by at most one of its two 61-bit primes.
     #[default]
     SingleLimb,
-    /// Add `c · 2^{64i} · (2^128 − 1)` to the product — a crafted
-    /// multi-limb corruption that preserves BOTH residues mod `2^64 ± 1`
-    /// exactly, so the residue rung provably cannot see it. Only the
-    /// dual-algorithm rung of the verification ladder catches these.
+    /// Add `c · 2^{64i} · (2^128 − 1)` to the product: a multi-limb
+    /// corruption that preserves both residues mod `2^64 ± 1` exactly, so
+    /// a check keyed to those public moduli cannot see it. The product
+    /// check always catches it too: no prime factor of `2^128 − 1` has 61
+    /// bits, and `|c| < 2^64` is divisible by at most one of its primes.
     ResidueEvading,
 }
 
@@ -131,9 +132,8 @@ options! {
         pub straggle_per_10k: u32 = 0, ..=PER_10K;
         /// Soft-fault (corruption) rate per 10 000 requests.
         pub corrupt_per_10k: u32 = 0, ..=PER_10K;
-        /// Shape of injected corruptions: naive single-limb bit flips (always
-        /// caught by the residue check) or crafted residue-evading multi-limb
-        /// deltas (caught only by the dual-algorithm verification rung).
+        /// Shape of injected corruptions: single-limb bit flips, or multi-limb
+        /// deltas divisible by `2^128 − 1`. The product check catches both.
         pub corruption: CorruptionKind = CorruptionKind::SingleLimb;
         /// How long an injected straggler sleeps, in milliseconds.
         pub straggle_ms: u64 = 2;
@@ -278,8 +278,8 @@ impl ChaosConfig {
             }
             CorruptionKind::ResidueEvading => {
                 // Add c · 2^{64i} · (2^128 − 1) = (c << 64(i+2)) − (c << 64i)
-                // with c ≠ 0: nonzero, multi-limb, and ≡ 0 under both word
-                // moduli, so residue_pair(corrupt) == residue_pair(product).
+                // with c ≠ 0: nonzero, multi-limb, and ≡ 0 modulo both
+                // 2^64 − 1 and 2^64 + 1.
                 let i = if product.word_len() == 0 {
                     0
                 } else {
@@ -464,15 +464,17 @@ mod tests {
             corruption: CorruptionKind::ResidueEvading,
             ..active_config()
         };
+        // 2^128 − 1 = (2^64 − 1)(2^64 + 1): a delta it divides leaves both
+        // residues unchanged.
+        let m128 = BigInt::from_sign_limbs(Sign::Positive, vec![u64::MAX; 2]);
         let mut rng = StdRng::seed_from_u64(11);
         for request in 0..50 {
             let x = BigInt::random_signed_bits(&mut rng, 1 + request * 29);
             let bad = chaos.corrupt(&x, request, 0);
             assert_ne!(bad, x, "request {request}");
             assert_eq!(bad, chaos.corrupt(&x, request, 0), "deterministic");
-            assert_eq!(
-                ft_toom_core::residue::residue_pair(&bad),
-                ft_toom_core::residue::residue_pair(&x),
+            assert!(
+                (&bad - &x).mod_floor(&m128).is_zero(),
                 "request {request}: residues must be preserved"
             );
         }
@@ -480,9 +482,8 @@ mod tests {
         // corruption still evades both residues.
         let bad_zero = chaos.corrupt(&BigInt::zero(), 3, 0);
         assert!(!bad_zero.is_zero());
-        assert_eq!(
-            ft_toom_core::residue::residue_pair(&bad_zero),
-            (0, 0),
+        assert!(
+            bad_zero.mod_floor(&m128).is_zero(),
             "zero's residues preserved"
         );
     }

@@ -12,7 +12,6 @@
 use crate::chaos::ChaosConfig;
 use crate::json::{Json, JsonError};
 use crate::supervisor::{BreakerPolicy, RetryPolicy};
-use crate::verify::VerifyPolicy;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::{Bound, RangeBounds};
@@ -141,13 +140,14 @@ impl<T: Value> Value for Vec<T> {
 }
 
 /// Keys of removed options, as (section, key). Documents that still set
-/// them load, and the value is ignored: `workers`, `queue_capacity` and
-/// `batch_max` at the top of a service config, `batching.lanes` and
-/// `chaos.escalate_panics`.
+/// them load, and the value is ignored: `workers`, `queue_capacity`,
+/// `batch_max` and the whole `verify` section at the top of a service
+/// config, `batching.lanes` and `chaos.escalate_panics`.
 pub(crate) const RETIRED: &[(&str, &str)] = &[
     ("ServiceConfig", "workers"),
     ("ServiceConfig", "queue_capacity"),
     ("ServiceConfig", "batch_max"),
+    ("ServiceConfig", "verify"),
     ("BatchingConfig", "lanes"),
     ("ChaosConfig", "escalate_panics"),
 ];
@@ -336,8 +336,9 @@ options! {
         /// dispatching. `0` disables coalescing (every request dispatches
         /// alone, still through its lane's dispatcher).
         pub window_us: u64 = 150;
-        /// Most requests merged into one executed batch.
-        pub max_batch: usize = 32, 1..;
+        /// Most requests merged into one executed batch. Each lane sizes
+        /// its round buffers by it at start-up.
+        pub max_batch: usize = 32, 1..=4_096;
         /// Capacity of each lane's submission queue; a submission beyond it
         /// returns [`crate::SubmitError::QueueFull`].
         pub queue_capacity: usize = 1_024, 1..;
@@ -399,7 +400,8 @@ options! {
         /// ranks at the `poly-halt` fault point). More than `f` distinct
         /// *columns* makes the run unrecoverable, exercising the fallback.
         pub hard_faults_per_run: u32 = 0;
-        /// Ranks per run additionally given a delay fault (slowdown).
+        /// Ranks per run additionally given a delay fault (slowdown), at
+        /// most the machine's rank count.
         pub delay_ranks: u32 = 0;
         /// Slowdown factor applied to delayed ranks (1 = no delay).
         pub delay_factor: u64 = 4, 1..;
@@ -427,6 +429,8 @@ options! {
         d.min_bits <= d.max_bits => "min_bits must not exceed max_bits";
         d.ranks().is_some_and(|ranks| ranks <= MAX_RANKS)
             => &format!("k, bfs_steps and f must give at most {MAX_RANKS} simulated ranks");
+        d.ranks().is_some_and(|ranks| d.delay_ranks as usize <= ranks)
+            => "delay_ranks must not exceed the simulated ranks";
     }
 }
 
@@ -442,25 +446,23 @@ impl DistributedConfig {
 
 options! {
     /// Full service configuration. [`Self::from_json`] rejects keys no row
-    /// declares, except five retired ones that load and are ignored:
-    /// `workers`, `queue_capacity`, `batch_max`, `batching.lanes` and
-    /// `chaos.escalate_panics`.
+    /// declares, except six retired ones that load and are ignored:
+    /// `workers`, `queue_capacity`, `batch_max`, `verify`,
+    /// `batching.lanes` and `chaos.escalate_panics`.
     pub struct ServiceConfig {
         /// Queue-age bound in milliseconds after which deadline-less
         /// requests are shed ([`crate::MulError::Shed`]); `None` disables
         /// shedding.
         pub shed_after_ms: Option<u64> = None;
-        /// Capacity of the shared Toom-plan LRU cache.
-        pub plan_cache_capacity: usize = 8, 1..;
+        /// Capacity of the shared Toom-plan LRU cache, allocated at
+        /// start-up.
+        pub plan_cache_capacity: usize = 8, 1..=256;
         /// Kernel selection thresholds.
         pub kernel_policy: KernelPolicy = KernelPolicy::default();
-        /// Residue-spot-check every product (`ft_toom_core::residue`); a
-        /// mismatch counts as a soft fault and the request is retried.
+        /// Check every product modulo two secret primes
+        /// (`ft_toom_core::residue`); a mismatch counts as a soft fault and
+        /// the request is retried.
         pub verify_residues: bool = true;
-        /// Dual-algorithm verification rung: sampled re-computation with a
-        /// structurally distinct algorithm, escalating mismatches to a full
-        /// recompute (see [`crate::verify`]).
-        pub verify: VerifyPolicy = VerifyPolicy::default();
         /// Per-request retry/backoff policy for supervised failures.
         pub retry: RetryPolicy = RetryPolicy::default();
         /// Per-kernel circuit-breaker policy.
@@ -511,8 +513,9 @@ options! {
     /// also drives shard-level faults (`shard_kill` / `shard_stall`),
     /// decided deterministically per (seed, shard, monitor round).
     pub struct ShardConfig {
-        /// Number of service shards behind the router.
-        pub shards: usize = 3, 1..;
+        /// Number of service shards behind the router. Each starts two
+        /// lane threads and a tuner thread.
+        pub shards: usize = 3, 1..=64;
         /// Per-shard service configuration template.
         pub service: ServiceConfig = ServiceConfig::default();
         /// Monitor cadence: each shard posts one heartbeat per period of
@@ -622,8 +625,9 @@ mod tests {
     #[test]
     fn removed_options_are_ignored() {
         // Documents written for the worker pool, per-batch lane threads,
-        // and panic escalation still load; the keys no longer mean
-        // anything, even values the old validation rejected.
+        // panic escalation and the dual-algorithm verification rung still
+        // load; the keys no longer mean anything, even values the old
+        // validation rejected.
         let cfg = ServiceConfig::from_json(
             r#"{"workers": 0, "queue_capacity": 0, "batch_max": 0,
                 "batching": {"lanes": 2, "max_batch": 8},
@@ -635,6 +639,18 @@ mod tests {
         for key in ["workers", "batch_max", "lanes", "escalate_panics"] {
             assert!(!cfg.to_json().contains(key), "{key} is still emitted");
         }
+        let cfg = ServiceConfig::from_json(
+            r#"{"verify_residues": false,
+                "verify": {"dual_per_10k": 10001, "dual_small_max_bits": 16384,
+                           "dual_max_bits": 33554432, "dual_toom_k": 1,
+                           "breaker_on_mismatch": true, "sample_seed": 0}}"#,
+        )
+        .unwrap();
+        assert!(!cfg.verify_residues);
+        assert!(
+            !cfg.to_json().contains("\"verify\""),
+            "verify is still emitted"
+        );
     }
 
     #[test]
@@ -708,6 +724,30 @@ mod tests {
         ));
     }
 
+    /// `max_batch` sizes both lanes' round buffers and
+    /// `plan_cache_capacity` the plan cache, at start-up: a huge value
+    /// must fail to load, not to allocate.
+    #[test]
+    fn start_up_allocations_are_bounded() {
+        for bad in [
+            r#"{"batching": {"max_batch": 18446744073709551615}}"#,
+            r#"{"batching": {"max_batch": 4097}}"#,
+            r#"{"plan_cache_capacity": 18446744073709551615}"#,
+            r#"{"plan_cache_capacity": 257}"#,
+        ] {
+            assert!(
+                matches!(ServiceConfig::from_json(bad), Err(ConfigError::Invalid(_))),
+                "{bad}"
+            );
+        }
+        let largest = ServiceConfig::from_json(
+            r#"{"batching": {"max_batch": 4096}, "plan_cache_capacity": 256}"#,
+        )
+        .unwrap();
+        assert_eq!(largest.batching.max_batch, 4_096);
+        assert_eq!(largest.plan_cache_capacity, 256);
+    }
+
     #[test]
     fn distributed_round_trips() {
         let cfg = ServiceConfig::from_json(
@@ -755,6 +795,9 @@ mod tests {
             r#"{"distributed": {"f": 2000}}"#,
             r#"{"distributed": {"k": 9223372036854775807}}"#,
             r#"{"distributed": {"bfs_steps": 18446744073709551615}}"#,
+            // More delayed ranks than the default machine's 3^0 · (3 + 1).
+            r#"{"distributed": {"enabled": true, "delay_ranks": 4294967295}}"#,
+            r#"{"distributed": {"delay_ranks": 5}}"#,
         ] {
             assert!(
                 matches!(ServiceConfig::from_json(bad), Err(ConfigError::Invalid(_))),
@@ -764,6 +807,9 @@ mod tests {
         // The largest machine under the cap: 3^5 · (3 + 1) = 972 ranks.
         let largest = ServiceConfig::from_json(r#"{"distributed": {"bfs_steps": 6}}"#).unwrap();
         assert_eq!(largest.distributed.bfs_steps, 6);
+        let every_rank =
+            ServiceConfig::from_json(r#"{"distributed": {"delay_ranks": 4}}"#).unwrap();
+        assert_eq!(every_rank.distributed.delay_ranks, 4);
     }
 
     #[test]
@@ -789,12 +835,20 @@ mod tests {
         // Absent fields keep defaults, including the service template.
         let plain = ShardConfig::from_json("{}").unwrap();
         assert_eq!(plain, ShardConfig::default());
+        assert_eq!(
+            ShardConfig::from_json(r#"{"shards": 64}"#).unwrap().shards,
+            64
+        );
     }
 
     #[test]
     fn rejects_invalid_shard_values() {
         for bad in [
             r#"{"shards": 0}"#,
+            // Each shard starts three threads.
+            r#"{"shards": 65}"#,
+            r#"{"shards": 1000000}"#,
+            r#"{"service": {"distributed": {"enabled": true, "delay_ranks": 4294967295}}}"#,
             r#"{"heartbeat_ms": 0}"#,
             r#"{"deadline_budget": 0}"#,
             r#"{"hot_watermark": 1, "idle_watermark": 2}"#,

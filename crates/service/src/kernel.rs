@@ -19,8 +19,8 @@ pub enum Kernel {
     /// `KernelPolicy::ntt_min_bits`, where `Θ(n log n)` beats every Toom
     /// split (≥1.5× over seq Toom at the default crossover; see
     /// BENCH_kernels.json). Degrades to [`Kernel::SeqToom`] on breaker
-    /// trip: the structurally distinct algorithm the verify ladder also
-    /// cross-checks NTT products against.
+    /// trip: a structurally distinct algorithm, with no transform,
+    /// twiddle table or CRT step in common.
     Ntt,
     /// The simulated coded machine (`ft-core`'s polynomial-coded parallel
     /// Toom-Cook with heartbeat failure detection). Never picked by

@@ -5,12 +5,12 @@
 //! them, auto-selects a kernel per request size, and returns results
 //! through one slot table per submission, read as a [`ResponseHandle`]
 //! or a [`BatchHandle`]. Kernel execution is supervised: panics are
-//! caught, products are residue-verified, failures are retried with
-//! backoff and degraded across kernels by per-kernel circuit breakers,
-//! and a deterministic chaos injector can exercise all of it. A
-//! [`Router`] spreads requests over several services (shards) and fails
-//! a dead shard's queued work over to the survivors. See `DESIGN.md` §2
-//! for the subsystem inventory.
+//! caught, products are checked modulo two secret primes, failures are
+//! retried with backoff and degraded across kernels by per-kernel
+//! circuit breakers, and a deterministic chaos injector can exercise all
+//! of it. A [`Router`] spreads requests over several services (shards)
+//! and fails a dead shard's queued work over to the survivors. See
+//! `DESIGN.md` §2 for the subsystem inventory.
 
 pub mod chaos;
 pub mod config;
@@ -26,7 +26,6 @@ pub mod service;
 pub(crate) mod shard;
 pub mod supervisor;
 pub(crate) mod tuner;
-pub mod verify;
 
 pub use chaos::{install_quiet_panic_hook, ChaosConfig, CorruptionKind, FaultKind};
 pub use config::{
@@ -39,4 +38,3 @@ pub use metrics::{DistributedSnapshot, MetricsSnapshot, RouterSnapshot, VerifySn
 pub use router::{Router, ShardId, ShardState};
 pub use service::{BatchHandle, BatchResults, MulService, ResponseHandle};
 pub use supervisor::{BreakerPolicy, RetryPolicy};
-pub use verify::VerifyPolicy;

@@ -197,31 +197,13 @@ scalars! {
             counter "ft_breaker_closes_total", "Circuit-breaker transitions back to closed.";
         ResidueChecks verify.residue_checks: Sum, "verify.residue_checks",
             counter "ftsvc_verify_checks_total{rung=\"residue\"}",
-            "Verification-ladder checks executed, by rung.";
-        DualChecks verify.dual_checks: Sum, "verify.dual_checks",
-            counter "ftsvc_verify_checks_total{rung=\"dual\"}",
-            "Verification-ladder checks executed, by rung.";
-        RecomputeChecks verify.recompute_checks: Sum, "verify.recompute_checks",
-            counter "ftsvc_verify_checks_total{rung=\"recompute\"}",
-            "Verification-ladder checks executed, by rung.";
+            "Product checks executed.";
         ResidueFailures verify.residue_failures: Sum, "verify.residue_failures",
             counter "ftsvc_verify_failures_total{rung=\"residue\"}",
-            "Verification-ladder checks that flagged a product, by rung.";
-        DualFailures verify.dual_failures: Sum, "verify.dual_failures",
-            counter "ftsvc_verify_failures_total{rung=\"dual\"}",
-            "Verification-ladder checks that flagged a product, by rung.";
-        RecomputeFailures verify.recompute_failures: Sum, "verify.recompute_failures",
-            counter "ftsvc_verify_failures_total{rung=\"recompute\"}",
-            "Verification-ladder checks that flagged a product, by rung.";
+            "Product checks that flagged a product.";
         ResidueCostUs verify.residue_cost_us: Sum, "verify.residue_cost_us",
             counter "ftsvc_verify_cost_us_total{rung=\"residue\"}",
-            "Microseconds spent in each verification rung.";
-        DualCostUs verify.dual_cost_us: Sum, "verify.dual_cost_us",
-            counter "ftsvc_verify_cost_us_total{rung=\"dual\"}",
-            "Microseconds spent in each verification rung.";
-        RecomputeCostUs verify.recompute_cost_us: Sum, "verify.recompute_cost_us",
-            counter "ftsvc_verify_cost_us_total{rung=\"recompute\"}",
-            "Microseconds spent in each verification rung.";
+            "Microseconds spent in product checks.";
         DistributedRuns distributed.runs: Sum, "distributed.runs",
             counter "ft_distributed_runs_total",
             "Multiplications completed on the simulated coded machine.";
@@ -255,12 +237,10 @@ scalars! {
         plan_cache_misses: Sum, "plan_cache_misses", counter "ft_plan_cache_misses_total",
             "Toom-plan cache misses.";
         residue_checks: Sum, "robustness.residue_checks", counter "ft_residue_checks_total",
-            "Products spot-checked by the residue verifier.";
+            "Products checked modulo the two secret primes.";
         verification_failures: Sum, "robustness.verification_failures",
             counter "ft_verification_failures_total",
             "Spot-checks that caught an inconsistent product.";
-        verify.escalations: Sum, "verify.escalations", counter "ftsvc_verify_escalations_total",
-            "Dual-check disagreements escalated to a full recompute.";
         router.shards: Router, "router.shards", gauge "ftsvc_router_shards",
             "Shards in the topology.";
         router.live: Router, "router.live", gauge "ftsvc_router_shards_live",
@@ -392,11 +372,7 @@ impl Metrics {
         }
         // Counters that always move together are derived, not stored.
         snap.residue_checks = snap.verify.residue_checks;
-        snap.verification_failures = snap
-            .verify
-            .residue_failures
-            .saturating_add(snap.verify.recompute_failures);
-        snap.verify.escalations = snap.verify.dual_failures;
+        snap.verification_failures = snap.verify.residue_failures;
         snap
     }
 }
@@ -506,13 +482,11 @@ snapshot_struct! {
         /// Requests that exhausted the retry budget and the whole degradation
         /// ladder ([`crate::MulError::WorkerFault`]).
         pub worker_faults: u64,
-        /// Products spot-checked by the residue verifier.
+        /// Products checked modulo the two secret primes.
         pub residue_checks: u64,
-        /// Caught soft faults across the whole verification ladder: residue
-        /// mismatches plus recompute-confirmed dual-check disagreements.
+        /// Caught soft faults: products that failed the check.
         pub verification_failures: u64,
-        /// Per-rung counters and costs of the verification ladder
-        /// (`residue → dual-algorithm → recompute`).
+        /// Counters and cost of the product check.
         pub verify: VerifySnapshot,
         /// Circuit-breaker transitions into the open state.
         pub breaker_opens: u64,
@@ -531,35 +505,24 @@ snapshot_struct! {
     }
 }
 
-/// Per-rung counters of the verification ladder (see `crate::verify`):
-/// how often each rung ran, what it caught, and what it cost. Rung
-/// semantics: `residue` is the `O(n)` spot-check on every product,
-/// `dual` the sampled structurally-distinct recomputation, `recompute`
-/// the full clean re-execution that localizes a dual-check disagreement.
+/// Counters and cost of the product check (`ft_toom_core::residue`),
+/// which runs on every product when `verify_residues` is set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct VerifySnapshot {
-    /// Residue spot-checks performed (mirrors the top-level counter).
+    /// Products checked (mirrors the top-level counter).
     pub residue_checks: u64,
-    /// Residue mismatches (caught soft faults; the element was retried).
+    /// Products that failed the check (caught soft faults; the element
+    /// was retried).
     pub residue_failures: u64,
-    /// Total µs spent in residue checks (saturating).
+    /// Total µs spent in checks (saturating).
     pub residue_cost_us: u64,
-    /// Sampled dual-algorithm checks performed.
+    /// Always 0: no check counts here. The field stays only so that code
+    /// reading it still compiles.
     pub dual_checks: u64,
-    /// Dual checks where the two algorithms disagreed.
+    /// Always 0, like `dual_checks`.
     pub dual_failures: u64,
-    /// Total µs spent in dual-algorithm recomputations (saturating).
-    pub dual_cost_us: u64,
-    /// Full recomputes triggered by dual-check disagreements.
+    /// Always 0, like `dual_checks`.
     pub recompute_checks: u64,
-    /// Recomputes that confirmed the served-path product was corrupt
-    /// (2-of-3 vote against the original).
-    pub recompute_failures: u64,
-    /// Total µs spent in localization recomputes (saturating).
-    pub recompute_cost_us: u64,
-    /// Ladder escalations: dual-check disagreements promoted to a full
-    /// recompute.
-    pub escalations: u64,
 }
 
 /// Counters of the distributed backend: runs on the simulated coded
@@ -792,38 +755,12 @@ mod tests {
         m.add(Stat::Retries, 1);
         m.add(Stat::Fallbacks, 1);
         m.add(Stat::WorkerFaults, 1);
-        // Two residue checks (3 µs, 2 µs), the second failing; two dual
-        // checks (40 µs, 55 µs), the second disagreeing; two recomputes
-        // (200 µs, 100 µs), the first confirming a corrupt product.
-        for (checks, failures, cost, us, failed) in [
-            (
-                Stat::ResidueChecks,
-                Stat::ResidueFailures,
-                Stat::ResidueCostUs,
-                [3, 2],
-                [false, true],
-            ),
-            (
-                Stat::DualChecks,
-                Stat::DualFailures,
-                Stat::DualCostUs,
-                [40, 55],
-                [false, true],
-            ),
-            (
-                Stat::RecomputeChecks,
-                Stat::RecomputeFailures,
-                Stat::RecomputeCostUs,
-                [200, 100],
-                [true, false],
-            ),
-        ] {
-            for (us, failed) in us.into_iter().zip(failed) {
-                m.add(checks, 1);
-                m.add(cost, us);
-                if failed {
-                    m.add(failures, 1);
-                }
+        // Two checks (3 µs, 2 µs), the second failing.
+        for (us, failed) in [(3, false), (2, true)] {
+            m.add(Stat::ResidueChecks, 1);
+            m.add(Stat::ResidueCostUs, us);
+            if failed {
+                m.add(Stat::ResidueFailures, 1);
             }
         }
         m.add(Stat::BreakerOpens, 1);
@@ -851,21 +788,14 @@ mod tests {
         assert_eq!(s.fallbacks, 1);
         assert_eq!(s.worker_faults, 1);
         assert_eq!(s.residue_checks, 2);
-        // Legacy total: 1 residue failure + 1 recompute-confirmed corruption.
-        assert_eq!(s.verification_failures, 2);
+        assert_eq!(s.verification_failures, 1);
         assert_eq!(
             s.verify,
             VerifySnapshot {
                 residue_checks: 2,
                 residue_failures: 1,
                 residue_cost_us: 5,
-                dual_checks: 2,
-                dual_failures: 1,
-                dual_cost_us: 95,
-                recompute_checks: 2,
-                recompute_failures: 1,
-                recompute_cost_us: 300,
-                escalations: 1,
+                ..VerifySnapshot::default()
             }
         );
         assert_eq!(s.breaker_opens, 1);
@@ -934,6 +864,11 @@ mod tests {
         assert_eq!(merged.plan_cache_misses, 3);
         assert_eq!(merged.verify.residue_failures, 1);
         assert_eq!(merged.verification_failures, 1);
+        // Sums saturate instead of wrapping.
+        let mut huge = merged.clone();
+        huge.verify.residue_cost_us = u64::MAX - 1;
+        huge.merge(&merged);
+        assert_eq!(huge.verify.residue_cost_us, u64::MAX);
         assert_eq!(merged.distributed.recoveries, 1);
         assert_eq!(merged.distributed.max_detect_latency_ticks, 7);
         assert_eq!(
@@ -1124,18 +1059,7 @@ mod tests {
         let robustness = doc.get("robustness").unwrap();
         assert_eq!(robustness.get("retries").unwrap().as_u64(), Some(0));
         let verify = doc.get("verify").unwrap();
-        for key in [
-            "residue_checks",
-            "residue_failures",
-            "residue_cost_us",
-            "dual_checks",
-            "dual_failures",
-            "dual_cost_us",
-            "recompute_checks",
-            "recompute_failures",
-            "recompute_cost_us",
-            "escalations",
-        ] {
+        for key in ["residue_checks", "residue_failures", "residue_cost_us"] {
             assert_eq!(verify.get(key).unwrap().as_u64(), Some(0), "{key}");
         }
         let distributed = doc.get("distributed").unwrap();

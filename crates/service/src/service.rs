@@ -527,8 +527,8 @@ impl MulService {
             config.batching.queue_capacity > 0,
             "batching.queue_capacity must be >= 1"
         );
-        // Route ft-bigint's process-wide fast-multiply hook (BigInt::pow,
-        // residue checks, …) through the Toom auto-dispatcher.
+        // Route ft-bigint's process-wide fast-multiply hook (BigInt::pow
+        // and friends) through the Toom auto-dispatcher.
         let _ = ft_toom_core::seq::install_fast_mul_hook();
         let shared = Arc::new(Shared {
             plans: PlanCache::new(config.plan_cache_capacity),
@@ -537,7 +537,6 @@ impl MulService {
                 config.retry.clone(),
                 config.breaker.clone(),
                 config.verify_residues,
-                config.verify.clone(),
                 config.chaos.clone(),
                 config
                     .distributed
@@ -878,15 +877,28 @@ mod tests {
         BigInt::random_bits(rng, 30_000)
     }
 
-    /// Submit a 400 kbit blocker and give the big lane time to dequeue
-    /// it and start grinding.
+    /// Poll `done` until it holds, failing the test after a generous
+    /// deadline rather than hanging it.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Submit a 400 kbit blocker and wait until the big lane has closed
+    /// its round and started grinding it, so that nothing submitted
+    /// later can join that round.
     fn start_blocker(service: &MulService, rng: &mut StdRng) -> (ResponseHandle, BigInt) {
         let big = BigInt::random_bits(rng, 400_000);
         let want = big.mul_schoolbook(&big);
         let handle = service
             .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
             .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        wait_until("the blocker's round is dispatched", || {
+            service.metrics().batches == 1
+        });
         (handle, want)
     }
 
@@ -1316,7 +1328,7 @@ mod tests {
         crate::chaos::install_quiet_panic_hook();
         let config = ServiceConfig {
             chaos: Some(crate::chaos::ChaosConfig {
-                straggle_ms: 80,
+                straggle_ms: 250,
                 force: vec![(0, crate::chaos::FaultKind::Straggle)],
                 ..crate::chaos::ChaosConfig::default()
             }),
@@ -1326,8 +1338,12 @@ mod tests {
         let mut rng = rng(24);
         let x = BigInt::random_bits(&mut rng, 500);
         let straggler = service.submit(x.clone(), x.clone()).unwrap();
-        // Let the dispatcher pick up the straggler batch first.
-        std::thread::sleep(Duration::from_millis(10));
+        // The injection is metered once the straggler's round has closed
+        // and its attempt begins to sleep, so the doomed request below
+        // queues behind it instead of joining its round.
+        wait_until("the straggle is injected", || {
+            service.metrics().injected_faults[crate::chaos::FaultKind::Straggle as usize].1 == 1
+        });
         let doomed = service
             .submit_with_deadline(x.clone(), x.clone(), Duration::from_millis(5))
             .unwrap();

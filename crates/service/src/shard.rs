@@ -189,7 +189,9 @@ mod tests {
     #[test]
     fn stalled_beats_resume_and_jump_forward() {
         let shard = Shard::start(tiny_config(), 5);
-        shard.stall(3); // ~15 ms of silence
+        // 300 ms of silence: far longer than the checks below take, even
+        // on a loaded host.
+        shard.stall(60);
         let frozen = shard.beats();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(shard.beats(), frozen, "stalled shard is silent");
@@ -198,7 +200,11 @@ mod tests {
         let b: BigInt = "98765432109876543210".parse().unwrap();
         let handle = shard.submit(a.clone(), b.clone(), Deadline::None).unwrap();
         assert_eq!(handle.wait().unwrap(), a.mul_schoolbook(&b));
-        std::thread::sleep(Duration::from_millis(25));
+        // Wait out the window, however long the host takes to get there.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while shard.beats() <= frozen && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(shard.beats() > frozen, "beats resume after the window");
         assert!(!service_killed(&shard));
         let snap = shard.shutdown();

@@ -5,13 +5,14 @@
 //! Failure handling mirrors the paper's two fault classes: a panicking or
 //! straggling kernel is a *hard/delay* fault (caught by `catch_unwind` or
 //! absorbed by retry), a corrupted product is a *soft* fault (caught by
-//! the verification ladder `residue → dual-algorithm → recompute`; see
-//! [`crate::verify`]). Either way the request is retried — first on the
-//! same kernel with backoff, then down the degradation ladder parallel
-//! Toom → sequential Toom → schoolbook. A kernel that keeps failing trips
-//! its circuit breaker, so later requests skip it up front instead of
-//! paying the failure again; recompute-confirmed corruptions charge the
-//! same breaker, so a kernel that keeps miscalculating trips it too.
+//! the product check modulo two secret primes, `ft_toom_core::residue`).
+//! Either way the request is retried — first on the same kernel with
+//! backoff, then down the degradation ladder parallel Toom → sequential
+//! Toom → schoolbook. A kernel whose attempts fail `failure_threshold`
+//! times in a row, by panic or by miscalculation, trips its circuit
+//! breaker, and later requests skip it up front. A clean attempt resets
+//! the count: an intermittent corrupter whose retries succeed never
+//! trips, and pays a second multiply per corrupted request instead.
 
 use crate::chaos::{ChaosConfig, FaultKind, INJECTED_PANIC_MSG};
 use crate::config::options;
@@ -20,9 +21,8 @@ use crate::error::MulError;
 use crate::kernel::Kernel;
 use crate::metrics::{Metrics, Stat};
 use crate::plan_cache::PlanCache;
-use crate::verify::VerifyPolicy;
 use ft_bigint::BigInt;
-use ft_toom_core::{residue, seq, ToomPlan};
+use ft_toom_core::residue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::panic::{self, AssertUnwindSafe};
@@ -113,27 +113,11 @@ pub(crate) struct Supervisor {
     retry: RetryPolicy,
     breaker: BreakerPolicy,
     verify_residues: bool,
-    verify: VerifyPolicy,
     chaos: Option<ChaosConfig>,
     /// When present, [`Kernel::DistributedToom`] attempts run on the
     /// simulated coded machine instead of the local delegate kernel.
     distributed: Option<DistributedBackend>,
     breakers: [Mutex<BreakerState>; 5],
-}
-
-enum AttemptFailure {
-    Panicked,
-    BadProduct,
-}
-
-/// A product that survived the verification ladder.
-enum Verified {
-    /// Passed every rung that ran — serve it as-is.
-    Clean(BigInt),
-    /// The dual-algorithm rung caught a corruption and the recompute rung
-    /// confirmed it (2-of-3 vote against the served-path product); this is
-    /// the recomputed, correct value.
-    Recovered(BigInt),
 }
 
 /// Elapsed µs since `start`, saturating.
@@ -146,7 +130,6 @@ impl Supervisor {
         retry: RetryPolicy,
         breaker: BreakerPolicy,
         verify_residues: bool,
-        verify: VerifyPolicy,
         chaos: Option<ChaosConfig>,
         distributed: Option<DistributedBackend>,
     ) -> Supervisor {
@@ -154,7 +137,6 @@ impl Supervisor {
             retry,
             breaker,
             verify_residues,
-            verify,
             chaos: chaos.filter(ChaosConfig::is_active),
             distributed,
             breakers: std::array::from_fn(|_| Mutex::new(BreakerState::default())),
@@ -198,104 +180,21 @@ impl Supervisor {
         }
     }
 
-    /// The structurally distinct second algorithm of the dual rung: plain
-    /// limb multiplication (schoolbook/Karatsuba) below the small floor,
-    /// Toom-Cook on the disjoint alternate evaluation-point set above it.
-    /// Neither shares evaluation rows, interpolation matrices, or a
-    /// Toom-Graph schedule with the serving kernels' classic plans, so a
-    /// soft error in either pipeline makes the two products disagree.
-    /// NTT-served products in particular cross-check against an algorithm
-    /// with no modular transforms, twiddle tables, or CRT recombination at
-    /// all — the two pipelines share nothing past limb addition.
-    fn dual_multiply(&self, a: &BigInt, b: &BigInt) -> BigInt {
-        let vp = &self.verify;
-        if a.bit_length().min(b.bit_length()) <= vp.dual_small_max_bits {
-            a.mul_auto(b)
-        } else {
-            let plan = ToomPlan::shared_alternate(vp.dual_toom_k);
-            seq::toom_with_plan(a, b, &plan, vp.dual_small_max_bits.max(8))
-        }
-    }
-
-    /// Run a freshly computed product up the verification ladder:
-    ///
-    /// 1. **residue** — the `O(n)` spot-check on every product (when
-    ///    `verify_residues`); a mismatch fails the attempt and the element
-    ///    retries as a soft fault.
-    /// 2. **dual-algorithm** — for sampled requests within the size guard,
-    ///    recompute with [`Self::dual_multiply`] and compare.
-    /// 3. **recompute** — a dual disagreement escalates to a full clean
-    ///    re-execution with the serving kernel, which localizes the
-    ///    corrupt result by 2-of-3 majority. A confirmed corruption is
-    ///    served from the recompute ([`Verified::Recovered`]) and charges
-    ///    the kernel's circuit breaker (when `breaker_on_mismatch`), so
-    ///    repeated offenders trip it; if no two results agree the attempt
-    ///    fails and the element retries.
-    ///
-    /// Chaos only corrupts the served-path product (upstream of this
-    /// call), so rungs 2–3 compute on clean ground truth.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_ladder(
-        &self,
-        a: &BigInt,
-        b: &BigInt,
-        product: BigInt,
-        request: u64,
-        kernel: Kernel,
-        policy: &crate::config::KernelPolicy,
-        plans: &PlanCache,
-        metrics: &Metrics,
-    ) -> Result<Verified, ()> {
-        if self.verify_residues {
-            let start = Instant::now();
-            let ok = residue::verify_product(a, b, &product);
-            metrics.add(Stat::ResidueChecks, 1);
-            metrics.add(Stat::ResidueCostUs, elapsed_us(start));
-            if !ok {
-                metrics.add(Stat::ResidueFailures, 1);
-                return Err(());
-            }
-        }
-        let vp = &self.verify;
-        if !vp.is_active()
-            || a.bit_length().min(b.bit_length()) > vp.dual_max_bits
-            || !vp.samples(request)
-        {
-            return Ok(Verified::Clean(product));
+    /// Check a freshly computed product modulo the two secret primes
+    /// (when `verify_residues`). `false` fails the attempt, and the
+    /// element retries as a soft fault.
+    fn verify(&self, a: &BigInt, b: &BigInt, product: &BigInt, metrics: &Metrics) -> bool {
+        if !self.verify_residues {
+            return true;
         }
         let start = Instant::now();
-        let dual = self.dual_multiply(a, b);
-        let mismatch = dual != product;
-        metrics.add(Stat::DualChecks, 1);
-        metrics.add(Stat::DualCostUs, elapsed_us(start));
-        if !mismatch {
-            return Ok(Verified::Clean(product));
+        let ok = residue::verify_product(a, b, product);
+        metrics.add(Stat::ResidueChecks, 1);
+        metrics.add(Stat::ResidueCostUs, elapsed_us(start));
+        if !ok {
+            metrics.add(Stat::ResidueFailures, 1);
         }
-        metrics.add(Stat::DualFailures, 1);
-        let start = Instant::now();
-        // Full clean re-execution — always on the local kernel ladder
-        // (even for distributed attempts), with no chaos draw: the
-        // recompute must be ground truth to arbitrate the disagreement.
-        let recompute = kernel.execute(a, b, policy, plans);
-        let original_corrupt = recompute != product;
-        metrics.add(Stat::RecomputeChecks, 1);
-        metrics.add(Stat::RecomputeCostUs, elapsed_us(start));
-        if !original_corrupt {
-            // The dual computation itself was the corrupt one (2-of-3
-            // majority for the served product) — serve the original.
-            return Ok(Verified::Clean(product));
-        }
-        metrics.add(Stat::RecomputeFailures, 1);
-        if recompute == dual {
-            // Confirmed: the served-path product was corrupt. Serve the
-            // agreed value and charge the kernel like any other failure.
-            if vp.breaker_on_mismatch {
-                self.record_failure(kernel, metrics);
-            }
-            return Ok(Verified::Recovered(recompute));
-        }
-        // All three disagree — no majority; fail the attempt and retry.
-        Err(())
+        ok
     }
 
     /// Supervised multiplication: returns the verified product and the
@@ -340,23 +239,15 @@ impl Supervisor {
             if kernel != selected {
                 metrics.add(Stat::Fallbacks, 1);
             }
-            match self.attempt(a, b, request, attempt, kernel, policy, plans, metrics) {
-                Ok(Verified::Clean(product)) => {
-                    if self.breaker_state(kernel).on_success() {
-                        metrics.add(Stat::BreakerCloses, 1);
-                    }
-                    return Ok((product, kernel));
+            // Hard (panic) and soft (bad product) faults take the same
+            // retry path; they are metered separately.
+            if let Some(product) =
+                self.attempt(a, b, request, attempt, kernel, policy, plans, metrics)
+            {
+                if self.breaker_state(kernel).on_success() {
+                    metrics.add(Stat::BreakerCloses, 1);
                 }
-                Ok(Verified::Recovered(product)) => {
-                    // The ladder already charged the kernel's breaker for
-                    // the confirmed corruption; deliberately skip the
-                    // success reset so repeated offenders accumulate
-                    // failures and trip it.
-                    return Ok((product, kernel));
-                }
-                // Hard (panic) and soft (bad product) faults take the
-                // same retry path; they are metered separately.
-                Err(AttemptFailure::Panicked | AttemptFailure::BadProduct) => {}
+                return Ok((product, kernel));
             }
             self.record_failure(kernel, metrics);
             attempt += 1;
@@ -382,7 +273,7 @@ impl Supervisor {
     /// Supervised execution of one coalesced batch. The whole batch is a
     /// single attempt (one chaos draw per element at attempt 0, one
     /// `catch_unwind`, one breaker update): if the batch attempt panics,
-    /// or individual products fail their residue spot-check, only the
+    /// or individual products fail the product check, only the
     /// affected elements are re-executed on the individual retry path —
     /// one faulty element never fails its batch-mates.
     ///
@@ -417,14 +308,12 @@ impl Supervisor {
             )
         };
         match self.attempt_batch(pairs, requests, kernel, policy, plans, metrics) {
-            Ok((products, recovered)) => {
+            Ok(products) => {
                 // Sound elements resolve from the batch; elements whose
-                // residue check failed inside the attempt retry alone. A
-                // batch that needed a ladder recovery keeps its breaker
-                // charge (no success reset), like the individual path.
+                // check failed inside the attempt retry alone.
                 if products.iter().any(Option::is_none) {
                     self.record_failure(kernel, metrics);
-                } else if !recovered && self.breaker_state(kernel).on_success() {
+                } else if self.breaker_state(kernel).on_success() {
                     metrics.add(Stat::BreakerCloses, 1);
                 }
                 products
@@ -447,12 +336,10 @@ impl Supervisor {
     }
 
     /// One supervised batch attempt: draw chaos per element (attempt 0),
-    /// run the whole batch under a single `catch_unwind`, and run every
-    /// product up the verification ladder. Returns one entry per element —
-    /// `Some` for a verified (or unverified-by-config) product, `None` for
-    /// one the ladder rejected — plus a flag for whether any element was
-    /// served from a ladder recovery; or `Err(())` when the attempt
-    /// panicked.
+    /// run the whole batch under a single `catch_unwind`, and check every
+    /// product. Returns one entry per element — `Some` for a verified (or
+    /// unverified-by-config) product, `None` for one the check rejected —
+    /// or `Err(())` when the attempt panicked.
     ///
     /// Verification is *fused*: each product is checked right after its
     /// multiplication, on the calling lane thread, while operands and
@@ -468,7 +355,7 @@ impl Supervisor {
         policy: &crate::config::KernelPolicy,
         plans: &PlanCache,
         metrics: &Metrics,
-    ) -> Result<(Vec<Option<BigInt>>, bool), ()> {
+    ) -> Result<Vec<Option<BigInt>>, ()> {
         let faults: Vec<Option<FaultKind>> = requests
             .iter()
             .map(|&request| {
@@ -480,7 +367,6 @@ impl Supervisor {
         for kind in faults.iter().flatten() {
             metrics.record_injected(*kind);
         }
-        let recovered = std::sync::atomic::AtomicBool::new(false);
         panic::catch_unwind(AssertUnwindSafe(|| {
             let chaos = self.chaos.as_ref();
             if faults.iter().flatten().any(|&k| k == FaultKind::Straggle) {
@@ -494,31 +380,15 @@ impl Supervisor {
                     requests[i]
                 );
             }
-            // Corrupt (per the chaos draw) and run one product up the
-            // verification ladder.
+            // Corrupt (per the chaos draw) and check one product.
             let check = |i: usize, mut product: BigInt| -> Option<BigInt> {
                 if let Some(chaos) = chaos {
                     if faults[i] == Some(FaultKind::Corrupt) {
                         product = chaos.corrupt(&product, requests[i], 0);
                     }
                 }
-                match self.verify_ladder(
-                    &pairs[i].0,
-                    &pairs[i].1,
-                    product,
-                    requests[i],
-                    kernel,
-                    policy,
-                    plans,
-                    metrics,
-                ) {
-                    Ok(Verified::Clean(product)) => Some(product),
-                    Ok(Verified::Recovered(product)) => {
-                        recovered.store(true, std::sync::atomic::Ordering::Relaxed);
-                        Some(product)
-                    }
-                    Err(()) => None,
-                }
+                let (a, b) = &pairs[i];
+                self.verify(a, b, &product, metrics).then_some(product)
             };
             let mut out = Vec::with_capacity(pairs.len());
             if let Some(backend) = self.backend_for(kernel) {
@@ -536,12 +406,12 @@ impl Supervisor {
             }
             out
         }))
-        .map(|products| (products, recovered.into_inner()))
         .map_err(|_| ())
     }
 
     /// One supervised attempt: inject chaos, run the kernel under
-    /// `catch_unwind`, then run the product up the verification ladder.
+    /// `catch_unwind`, then check the product. `None` when the attempt
+    /// panicked or its product failed the check.
     #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
@@ -553,7 +423,7 @@ impl Supervisor {
         policy: &crate::config::KernelPolicy,
         plans: &PlanCache,
         metrics: &Metrics,
-    ) -> Result<Verified, AttemptFailure> {
+    ) -> Option<BigInt> {
         let fault = self
             .chaos
             .as_ref()
@@ -589,12 +459,8 @@ impl Supervisor {
                 _ => product,
             }
         }));
-        match outcome {
-            Ok(product) => self
-                .verify_ladder(a, b, product, request, kernel, policy, plans, metrics)
-                .map_err(|()| AttemptFailure::BadProduct),
-            Err(_) => Err(AttemptFailure::Panicked),
-        }
+        let product = outcome.ok()?;
+        self.verify(a, b, &product, metrics).then_some(product)
     }
 }
 
@@ -610,22 +476,6 @@ mod tests {
             RetryPolicy::default(),
             BreakerPolicy::default(),
             verify,
-            VerifyPolicy::default(),
-            chaos,
-            None,
-        )
-    }
-
-    /// A supervisor whose dual rung checks every request.
-    fn supervisor_with_dual(chaos: Option<ChaosConfig>, verify_residues: bool) -> Supervisor {
-        Supervisor::new(
-            RetryPolicy::default(),
-            BreakerPolicy::default(),
-            verify_residues,
-            VerifyPolicy {
-                dual_per_10k: 10_000,
-                ..VerifyPolicy::default()
-            },
             chaos,
             None,
         )
@@ -735,7 +585,6 @@ mod tests {
                 open_ms: 10_000,
             },
             true,
-            VerifyPolicy::default(),
             Some(chaos),
             None,
         );
@@ -794,7 +643,6 @@ mod tests {
             },
             BreakerPolicy::default(),
             true,
-            VerifyPolicy::default(),
             Some(chaos),
             None,
         );
@@ -817,26 +665,17 @@ mod tests {
     }
 
     #[test]
-    fn residue_evading_corruption_slips_past_residue_only_supervision() {
-        // The blind spot, end to end: with the dual rung off, a crafted
-        // residue-preserving corruption is served as if it were correct.
+    fn residue_evading_corruption_is_caught_and_retried() {
+        // A delta divisible by 2^128 − 1 is invisible modulo 2^64 ± 1, but
+        // not modulo the check's secret primes: the attempt fails and the
+        // retry serves the true product.
         install_quiet_panic_hook();
         let chaos = ChaosConfig {
             corruption: crate::chaos::CorruptionKind::ResidueEvading,
             force: vec![(4, FaultKind::Corrupt)],
             ..ChaosConfig::default()
         };
-        let sup = Supervisor::new(
-            RetryPolicy::default(),
-            BreakerPolicy::default(),
-            true,
-            VerifyPolicy {
-                dual_per_10k: 0,
-                ..VerifyPolicy::default()
-            },
-            Some(chaos),
-            None,
-        );
+        let sup = supervisor_with(Some(chaos), true);
         let (a, b) = small_operands();
         let metrics = Metrics::default();
         let (product, _) = sup
@@ -845,86 +684,6 @@ mod tests {
                 &b,
                 4,
                 Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
-        assert_ne!(product, a.mul_schoolbook(&b), "the corruption was served");
-        let snap = metrics.snapshot(0, (0, 0));
-        assert_eq!(snap.verification_failures, 0, "residue check saw nothing");
-        assert_eq!(snap.verify.residue_checks, 1);
-        assert_eq!(snap.verify.dual_checks, 0);
-    }
-
-    #[test]
-    fn dual_rung_catches_and_recovers_residue_evading_corruption() {
-        install_quiet_panic_hook();
-        let chaos = ChaosConfig {
-            corruption: crate::chaos::CorruptionKind::ResidueEvading,
-            force: vec![(4, FaultKind::Corrupt)],
-            ..ChaosConfig::default()
-        };
-        let sup = supervisor_with_dual(Some(chaos), true);
-        let (a, b) = small_operands();
-        let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                4,
-                Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
-        assert_eq!(product, a.mul_schoolbook(&b), "recovered the true product");
-        let snap = metrics.snapshot(0, (0, 0));
-        // The corruption passed the residue rung, the dual rung disagreed,
-        // and the recompute confirmed the served path was corrupt — all
-        // without consuming a retry (the element was served in-place).
-        assert_eq!(snap.retries, 0);
-        assert_eq!(snap.verify.residue_failures, 0);
-        assert_eq!(snap.verify.dual_checks, 1);
-        assert_eq!(snap.verify.dual_failures, 1);
-        assert_eq!(snap.verify.escalations, 1);
-        assert_eq!(snap.verify.recompute_checks, 1);
-        assert_eq!(snap.verify.recompute_failures, 1);
-        assert_eq!(snap.verification_failures, 1, "counted as a caught fault");
-    }
-
-    #[test]
-    fn dual_rung_uses_the_alternate_toom_plan_above_the_small_floor() {
-        install_quiet_panic_hook();
-        let chaos = ChaosConfig {
-            corruption: crate::chaos::CorruptionKind::ResidueEvading,
-            force: vec![(2, FaultKind::Corrupt)],
-            ..ChaosConfig::default()
-        };
-        let sup = Supervisor::new(
-            RetryPolicy::default(),
-            BreakerPolicy::default(),
-            true,
-            VerifyPolicy {
-                dual_per_10k: 10_000,
-                dual_small_max_bits: 256, // force the alternate-plan branch
-                ..VerifyPolicy::default()
-            },
-            Some(chaos),
-            None,
-        );
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let a = BigInt::random_signed_bits(&mut rng, 20_000);
-        let b = BigInt::random_signed_bits(&mut rng, 20_000);
-        let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                2,
-                Kernel::SeqToom,
                 &KernelPolicy::default(),
                 &PlanCache::new(2),
                 &metrics,
@@ -932,113 +691,76 @@ mod tests {
             .unwrap();
         assert_eq!(product, a.mul_schoolbook(&b));
         let snap = metrics.snapshot(0, (0, 0));
-        assert_eq!(snap.verify.dual_failures, 1);
-        assert_eq!(snap.verify.recompute_failures, 1);
+        assert_eq!(snap.verification_failures, 1);
+        assert_eq!(snap.verify.residue_checks, 2);
+        assert_eq!(snap.retries, 1);
     }
 
     #[test]
-    fn dual_size_guard_skips_oversized_operands() {
-        let sup = Supervisor::new(
-            RetryPolicy::default(),
-            BreakerPolicy::default(),
-            true,
-            VerifyPolicy {
-                dual_per_10k: 10_000,
-                dual_small_max_bits: 16,
-                dual_max_bits: 16, // both operands exceed this → rung skipped
-                ..VerifyPolicy::default()
-            },
-            None,
-            None,
-        );
-        let (a, b) = small_operands();
-        let metrics = Metrics::default();
-        sup.execute(
-            &a,
-            &b,
-            0,
-            Kernel::Schoolbook,
-            &KernelPolicy::default(),
-            &PlanCache::new(2),
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(metrics.snapshot(0, (0, 0)).verify.dual_checks, 0);
-    }
-
-    #[test]
-    fn repeated_confirmed_corruptions_trip_the_breaker() {
+    fn repeated_corruptions_trip_the_breaker() {
         install_quiet_panic_hook();
-        // Every request is corrupted residue-evadingly; dual checks every
-        // one; each confirmed corruption charges the breaker.
+        // Every request's first three attempts are corrupted: three
+        // consecutive failed checks on seq toom trip its breaker, and the
+        // fourth attempt is diverted below it.
         let chaos = ChaosConfig {
             seed: 3,
             corrupt_per_10k: 10_000,
+            max_faulty_attempts: 3,
             corruption: crate::chaos::CorruptionKind::ResidueEvading,
             ..ChaosConfig::default()
         };
         let sup = Supervisor::new(
-            RetryPolicy::default(),
+            RetryPolicy {
+                max_retries: 3,
+                backoff_base_ms: 0,
+                backoff_max_ms: 0,
+            },
             BreakerPolicy {
                 failure_threshold: 3,
                 open_ms: 60_000,
             },
             true,
-            VerifyPolicy {
-                dual_per_10k: 10_000,
-                ..VerifyPolicy::default()
-            },
             Some(chaos),
             None,
         );
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        for request in 0..3 {
-            let (product, kernel) = sup
-                .execute(
-                    &a,
-                    &b,
-                    request,
-                    Kernel::SeqToom,
-                    &KernelPolicy::default(),
-                    &PlanCache::new(2),
-                    &metrics,
-                )
-                .unwrap();
-            assert_eq!(product, a.mul_schoolbook(&b), "request {request}");
-            assert_eq!(kernel, Kernel::SeqToom);
-        }
-        let snap = metrics.snapshot(0, (0, 0));
-        assert_eq!(snap.verify.recompute_failures, 3);
-        assert_eq!(snap.breaker_opens, 1, "third confirmed corruption trips");
-        // The next request diverts below the open seq-toom breaker.
-        let (_, kernel) = sup
+        let (product, kernel) = sup
             .execute(
                 &a,
                 &b,
-                100,
+                0,
                 Kernel::SeqToom,
                 &KernelPolicy::default(),
                 &PlanCache::new(2),
                 &metrics,
             )
             .unwrap();
+        assert_eq!(product, a.mul_schoolbook(&b));
         assert_eq!(
             kernel,
             Kernel::Schoolbook,
             "diverted by the tripped breaker"
         );
+        let snap = metrics.snapshot(0, (0, 0));
+        assert_eq!(snap.verification_failures, 3);
+        assert_eq!(snap.breaker_opens, 1, "third failed check trips");
+        assert_eq!(
+            sup.effective_kernel(Kernel::SeqToom, Instant::now()),
+            Kernel::Schoolbook,
+            "later requests divert up front"
+        );
     }
 
     #[test]
-    fn batch_dual_rung_recovers_residue_evading_elements() {
+    fn residue_evading_batch_elements_retry_alone() {
         install_quiet_panic_hook();
         let chaos = ChaosConfig {
             corruption: crate::chaos::CorruptionKind::ResidueEvading,
             force: vec![(1, FaultKind::Corrupt), (3, FaultKind::Corrupt)],
             ..ChaosConfig::default()
         };
-        let sup = supervisor_with_dual(Some(chaos), true);
+        let sup = supervisor_with(Some(chaos), true);
         let (pairs, requests) = batch_pairs(4);
         let metrics = Metrics::default();
         let results = sup.execute_batch(
@@ -1053,10 +775,8 @@ mod tests {
             assert_eq!(result.unwrap().0, a.mul_schoolbook(b));
         }
         let snap = metrics.snapshot(0, (0, 0));
-        assert_eq!(snap.verify.dual_checks, 4, "every element dual-checked");
-        assert_eq!(snap.verify.dual_failures, 2);
-        assert_eq!(snap.verify.recompute_failures, 2);
-        assert_eq!(snap.batch_element_retries, 0, "recovered in place");
+        assert_eq!(snap.verification_failures, 2);
+        assert_eq!(snap.batch_element_retries, 2, "only the corrupt elements");
         assert_eq!(snap.worker_faults, 0);
     }
 
@@ -1168,7 +888,6 @@ mod tests {
                 open_ms: 60_000,
             },
             true,
-            VerifyPolicy::default(),
             None,
             None,
         );

@@ -309,7 +309,6 @@ mod tests {
                 config.retry.clone(),
                 config.breaker.clone(),
                 false,
-                crate::verify::VerifyPolicy::default(),
                 None,
                 None,
             ),

@@ -8,15 +8,15 @@
 //! runs: `FT_CHAOS_SEED=7 cargo test -p ft-service --test chaos`. The
 //! corruption shape is part of the matrix too:
 //! `FT_CHAOS_CORRUPTION=residue_evading` switches the injector to deltas
-//! that are invisible to the residue rung, and the config flips the
-//! dual-algorithm rung to always-on so the run still serves zero corrupt
-//! products (the assertions branch on the mode).
+//! divisible by `2^128 − 1`, invisible modulo `2^64 ± 1`. The default
+//! config's product check, modulo two secret primes, must catch both
+//! shapes alike, so the assertions do not branch on the mode.
 
 use ft_bigint::BigInt;
 use ft_service::chaos::FaultKind;
 use ft_service::{
     install_quiet_panic_hook, BatchingConfig, BreakerPolicy, ChaosConfig, CorruptionKind,
-    KernelPolicy, MulService, RetryPolicy, ServiceConfig, SubmitError, VerifyPolicy,
+    KernelPolicy, MulService, RetryPolicy, ServiceConfig, SubmitError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,18 +61,6 @@ fn chaos_corruption() -> CorruptionKind {
     }
 }
 
-/// Residue-evading corruptions demand the dual rung on every product;
-/// single-limb ones are fully caught by the default policy.
-fn verify_policy() -> VerifyPolicy {
-    match chaos_corruption() {
-        CorruptionKind::SingleLimb => VerifyPolicy::default(),
-        CorruptionKind::ResidueEvading => VerifyPolicy {
-            dual_per_10k: 10_000,
-            ..VerifyPolicy::default()
-        },
-    }
-}
-
 /// Thresholds that exercise all three kernels on operand sizes small
 /// enough to grind 500 requests quickly.
 fn mixed_kernel_policy() -> KernelPolicy {
@@ -104,7 +92,6 @@ fn five_hundred_request_chaos_run_survives() {
         kernel_policy: mixed_kernel_policy(),
         batching: per_request(),
         verify_residues: true,
-        verify: verify_policy(),
         chaos: Some(chaos_config(seed)),
         retry: RetryPolicy {
             max_retries: 3,
@@ -152,30 +139,13 @@ fn five_hundred_request_chaos_run_survives() {
     );
     let corruptions = metrics.injected_faults[FaultKind::Corrupt as usize].1;
     assert!(corruptions > 0, "seed {seed} injected no corruptions");
-    match chaos_corruption() {
-        CorruptionKind::SingleLimb => {
-            // The residue check catches *every* injected corruption — no
-            // more, no fewer: honest products never fail verification.
-            assert_eq!(metrics.verification_failures, corruptions);
-            // Every attempt that produced a product was spot-checked: the
-            // 500 served products plus each corrupted one (panicked
-            // attempts never reach the verifier).
-            assert_eq!(metrics.residue_checks, 500 + metrics.verification_failures);
-        }
-        CorruptionKind::ResidueEvading => {
-            // The residue rung is provably blind to these deltas; the
-            // always-on dual rung catches every one, and every escalation
-            // is confirmed against the original (the ladder recovers the
-            // element in place, so corrupt attempts consume no retry and
-            // no second residue check).
-            assert_eq!(metrics.verify.residue_failures, 0);
-            assert_eq!(metrics.verify.dual_failures, corruptions);
-            assert_eq!(metrics.verify.escalations, corruptions);
-            assert_eq!(metrics.verify.recompute_failures, corruptions);
-            assert_eq!(metrics.verification_failures, corruptions);
-            assert_eq!(metrics.residue_checks, 500);
-        }
-    }
+    // The check catches *every* injected corruption, of either shape — no
+    // more, no fewer: honest products never fail verification.
+    assert_eq!(metrics.verification_failures, corruptions);
+    // Every attempt that produced a product was checked: the 500 served
+    // products plus each corrupted one (panicked attempts never reach the
+    // check).
+    assert_eq!(metrics.residue_checks, 500 + metrics.verification_failures);
 }
 
 /// The NTT-served leg of the chaos matrix: a policy whose NTT floor sits
@@ -196,7 +166,6 @@ fn ntt_chaos_run_survives() {
             ..KernelPolicy::default()
         },
         verify_residues: true,
-        verify: verify_policy(),
         chaos: Some(chaos_config(seed)),
         retry: RetryPolicy {
             max_retries: 3,
@@ -248,21 +217,8 @@ fn ntt_chaos_run_survives() {
     );
     let corruptions = metrics.injected_faults[FaultKind::Corrupt as usize].1;
     assert!(corruptions > 0, "seed {seed} injected no corruptions");
-    match chaos_corruption() {
-        CorruptionKind::SingleLimb => {
-            assert_eq!(metrics.verification_failures, corruptions);
-            assert_eq!(metrics.residue_checks, 200 + metrics.verification_failures);
-        }
-        CorruptionKind::ResidueEvading => {
-            // NTT products cross-check against alternate-point Toom — no
-            // shared transform machinery — so the always-on dual rung
-            // catches every evading delta the residue rung is blind to.
-            assert_eq!(metrics.verify.residue_failures, 0);
-            assert_eq!(metrics.verify.dual_failures, corruptions);
-            assert_eq!(metrics.verify.recompute_failures, corruptions);
-            assert_eq!(metrics.verification_failures, corruptions);
-        }
-    }
+    assert_eq!(metrics.verification_failures, corruptions);
+    assert_eq!(metrics.residue_checks, 200 + metrics.verification_failures);
 }
 
 /// The batched acceptance run: the same fault plan with a wide
@@ -277,7 +233,6 @@ fn batched_chaos_run_survives() {
     let config = ServiceConfig {
         kernel_policy: mixed_kernel_policy(),
         verify_residues: true,
-        verify: verify_policy(),
         chaos: Some(chaos_config(seed)),
         retry: RetryPolicy {
             max_retries: 3,
@@ -339,21 +294,122 @@ fn batched_chaos_run_survives() {
     let corruptions = metrics.injected_faults[FaultKind::Corrupt as usize].1;
     assert!(corruptions > 0, "seed {seed} injected no corruptions");
     assert!(metrics.verification_failures <= corruptions);
-    // Every served product passed a residue spot-check at least once.
+    // Every served product passed the check at least once.
     assert!(metrics.residue_checks >= 300);
-    if chaos_corruption() == CorruptionKind::ResidueEvading {
-        // Evading deltas never trip the residue rung; whatever was caught
-        // was caught by the dual rung and confirmed by the recompute.
-        assert_eq!(metrics.verify.residue_failures, 0);
-        assert_eq!(
-            metrics.verification_failures,
-            metrics.verify.recompute_failures
-        );
-        assert!(
-            metrics.verify.dual_checks >= 300,
-            "every element dual-checked"
-        );
+}
+
+/// A kernel that keeps returning corrupt products trips its breaker like
+/// one that keeps panicking: three failed checks in a row on seq toom
+/// open it, and later requests divert below it. Only consecutive
+/// failures count (a clean retry resets them), so the fault plan
+/// corrupts three attempts in a row; see
+/// `intermittent_corrupters_never_trip_the_breaker` for one.
+#[test]
+fn repeat_offenders_trip_the_breaker() {
+    install_quiet_panic_hook();
+    let seed = chaos_seed();
+    let chaos = ChaosConfig {
+        seed,
+        corrupt_per_10k: 10_000,
+        // Each request's first three attempts are corrupted.
+        max_faulty_attempts: 3,
+        corruption: chaos_corruption(),
+        ..ChaosConfig::default()
+    };
+    let config = ServiceConfig {
+        kernel_policy: mixed_kernel_policy(),
+        batching: per_request(),
+        chaos: Some(chaos),
+        breaker: BreakerPolicy {
+            failure_threshold: 3,
+            open_ms: 60_000,
+        },
+        ..ServiceConfig::default()
+    };
+    let service = MulService::start(config);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0ffe);
+    let mut pending = Vec::new();
+    for _ in 0..10 {
+        // 4-kbit operands select seq toom while its breaker holds.
+        let a = BigInt::random_signed_bits(&mut rng, 4_000);
+        let b = BigInt::random_signed_bits(&mut rng, 4_000);
+        let expect = a.mul_schoolbook(&b);
+        pending.push((submit_with_backoff(&service, a, b), expect));
     }
+    for (i, (handle, expect)) in pending.into_iter().enumerate() {
+        let product = handle
+            .wait_timeout(Duration::from_secs(300))
+            .unwrap_or_else(|_| panic!("request {i} hung"))
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        assert_eq!(product, expect, "request {i}");
+    }
+    let metrics = service.shutdown();
+    assert!(
+        metrics.breaker_opens >= 1,
+        "three failed checks in a row must trip the seq-toom breaker"
+    );
+    assert!(metrics.fallbacks > 0, "later attempts divert below it");
+    assert_eq!(metrics.worker_faults, 0);
+    assert_eq!(
+        metrics.verification_failures,
+        metrics.injected_faults[FaultKind::Corrupt as usize].1
+    );
+}
+
+/// A kernel that corrupts the first attempt of every request and then
+/// succeeds on the retry never trips its breaker: each clean retry resets
+/// the consecutive-failure count, so every request pays for a second
+/// multiply on the same kernel instead.
+#[test]
+fn intermittent_corrupters_never_trip_the_breaker() {
+    install_quiet_panic_hook();
+    let seed = chaos_seed();
+    let chaos = ChaosConfig {
+        seed,
+        corrupt_per_10k: 10_000,
+        // Only each request's first attempt is corrupted.
+        max_faulty_attempts: 1,
+        corruption: chaos_corruption(),
+        ..ChaosConfig::default()
+    };
+    let config = ServiceConfig {
+        kernel_policy: mixed_kernel_policy(),
+        batching: per_request(),
+        chaos: Some(chaos),
+        breaker: BreakerPolicy {
+            failure_threshold: 3,
+            open_ms: 60_000,
+        },
+        ..ServiceConfig::default()
+    };
+    let service = MulService::start(config);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1e7e);
+    let mut pending = Vec::new();
+    for _ in 0..10 {
+        // 4-kbit operands select seq toom.
+        let a = BigInt::random_signed_bits(&mut rng, 4_000);
+        let b = BigInt::random_signed_bits(&mut rng, 4_000);
+        let expect = a.mul_schoolbook(&b);
+        pending.push((submit_with_backoff(&service, a, b), expect));
+    }
+    for (i, (handle, expect)) in pending.into_iter().enumerate() {
+        let product = handle
+            .wait_timeout(Duration::from_secs(300))
+            .unwrap_or_else(|_| panic!("request {i} hung"))
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        assert_eq!(product, expect, "request {i}");
+    }
+    let metrics = service.shutdown();
+    assert_eq!(metrics.served, 10);
+    assert_eq!(metrics.injected_faults[FaultKind::Corrupt as usize].1, 10);
+    assert_eq!(metrics.verification_failures, 10, "every first attempt");
+    assert_eq!(metrics.retries, 10, "one second multiply per request");
+    assert_eq!(
+        metrics.breaker_opens, 0,
+        "a clean retry resets the count, so the breaker never trips"
+    );
+    assert_eq!(metrics.fallbacks, 0, "every retry stays on seq toom");
+    assert_eq!(metrics.worker_faults, 0);
 }
 
 #[test]
@@ -363,7 +419,6 @@ fn chaos_runs_are_reproducible_for_a_seed() {
         let config = ServiceConfig {
             kernel_policy: mixed_kernel_policy(),
             batching: per_request(),
-            verify: verify_policy(),
             chaos: Some(chaos_config(seed)),
             breaker: BreakerPolicy {
                 failure_threshold: 1,

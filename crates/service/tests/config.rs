@@ -10,11 +10,11 @@ use ft_service::config::ConfigError;
 use ft_service::json::Json;
 use ft_service::{
     BatchingConfig, BreakerPolicy, ChaosConfig, CorruptionKind, DistributedConfig, FaultKind,
-    KernelPolicy, RetryPolicy, ServiceConfig, ShardConfig, TunerConfig, VerifyPolicy,
+    KernelPolicy, RetryPolicy, ServiceConfig, ShardConfig, TunerConfig,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A topology where each of the 62 options differs from its default,
+/// A topology where each of the 56 options differs from its default,
 /// chaos included, with both forced-fault lists non-empty.
 fn every_option_changed() -> ShardConfig {
     ShardConfig {
@@ -32,14 +32,6 @@ fn every_option_changed() -> ShardConfig {
                 par_depth: 3,
             },
             verify_residues: false,
-            verify: VerifyPolicy {
-                dual_per_10k: 500,
-                dual_small_max_bits: 8_192,
-                dual_max_bits: 1 << 24,
-                dual_toom_k: 4,
-                breaker_on_mismatch: false,
-                sample_seed: 11,
-            },
             retry: RetryPolicy {
                 max_retries: 5,
                 backoff_base_ms: 2,
@@ -117,8 +109,6 @@ const DEFAULT_SERVICE: &str = concat!(
     r#""retry":{"backoff_base_ms":1,"backoff_max_ms":64,"max_retries":3},"#,
     r#""shed_after_ms":null,"#,
     r#""tuner":{"enabled":true,"interval_ms":500,"min_samples":64,"slowdown_pct":125},"#,
-    r#""verify":{"breaker_on_mismatch":true,"dual_max_bits":33554432,"dual_per_10k":250,"#,
-    r#""dual_small_max_bits":16384,"dual_toom_k":3,"sample_seed":0},"#,
     r#""verify_residues":true}"#,
 );
 
@@ -142,8 +132,6 @@ const CHANGED_SERVICE: &str = concat!(
     r#""retry":{"backoff_base_ms":2,"backoff_max_ms":32,"max_retries":5},"#,
     r#""shed_after_ms":25,"#,
     r#""tuner":{"enabled":false,"interval_ms":250,"min_samples":32,"slowdown_pct":150},"#,
-    r#""verify":{"breaker_on_mismatch":false,"dual_max_bits":16777216,"dual_per_10k":500,"#,
-    r#""dual_small_max_bits":8192,"dual_toom_k":4,"sample_seed":11},"#,
     r#""verify_residues":false}"#,
 );
 
@@ -289,9 +277,9 @@ fn misspelt_keys_fail_at_every_level() {
             Err(unknown(&typo, &path))
         );
     }
-    // The top level, `service`, its eight sections, and both entries of
+    // The top level, `service`, its seven sections, and both entries of
     // each forced-fault list.
-    assert_eq!(levels.len(), 1 + 1 + 8 + 4, "{levels:?}");
+    assert_eq!(levels.len(), 1 + 1 + 7 + 4, "{levels:?}");
     assert!(levels.contains("service.chaos.force_shard[1]"));
 
     assert_eq!(
@@ -337,7 +325,7 @@ fn every_row_sets_only_its_field() {
     let chaos_doc = Json::parse(&with_chaos.to_json()).unwrap();
     let mut rows = Vec::new();
     leaves(&chaos_doc, "", &mut rows);
-    assert_eq!(rows.len(), 62, "{rows:?}");
+    assert_eq!(rows.len(), 56, "{rows:?}");
     for row in rows {
         let value = at(&changed, &row).clone();
         let (base, base_doc) = if row.starts_with("service.chaos.") {

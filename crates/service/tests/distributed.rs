@@ -3,19 +3,22 @@
 //!
 //! The acceptance run: a batch served via `DistributedToom` with `f`
 //! injected hard faults plus one delay fault per run returns bit-exact,
-//! residue-verified products — recovery driven entirely by the heartbeat
+//! checked products — recovery driven entirely by the heartbeat
 //! detector's verdict (the fault plan is injection-only; nothing on the
 //! detection path queries it). A second run with more than `f` faults on
 //! every attempt must degrade through the supervisor's ladder to the
-//! local kernels instead of erroring.
+//! local kernels instead of erroring. Products of the coded machine take
+//! the same product check as local ones: a corrupted one is caught and
+//! its element retried on the machine.
 //!
 //! The in-machine fault seed defaults to 42 and follows the chaos seed
 //! matrix: `FT_CHAOS_SEED=1337 cargo test -p ft-service --test distributed`.
 
 use ft_bigint::BigInt;
+use ft_service::chaos::FaultKind;
 use ft_service::{
-    install_quiet_panic_hook, BreakerPolicy, DistributedConfig, KernelPolicy, MulService,
-    RetryPolicy, ServiceConfig,
+    install_quiet_panic_hook, BreakerPolicy, ChaosConfig, CorruptionKind, DistributedConfig,
+    KernelPolicy, MulService, RetryPolicy, ServiceConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,7 +115,7 @@ fn promoted_batch_recovers_injected_faults_on_the_coded_machine() {
         metrics.distributed.max_detect_latency_ticks >= 1,
         "a detected death has a positive heartbeat lag"
     );
-    assert!(metrics.residue_checks >= 6, "products were spot-checked");
+    assert!(metrics.residue_checks >= 6, "products were checked");
     assert_eq!(metrics.worker_faults, 0);
     assert_eq!(metrics.verification_failures, 0);
 }
@@ -166,6 +169,54 @@ fn unrecoverable_faults_degrade_to_local_kernels() {
     assert!(metrics.retries > 0);
     assert_eq!(metrics.worker_faults, 0, "no request was failed outright");
     assert_eq!(metrics.batch_faults, 1, "the promoted batch hard-faulted");
+}
+
+/// Every product of the coded machine is checked: a residue-evading
+/// corruption injected into each distributed response is caught, and its
+/// element retried — on the coded machine again, since the breaker stays
+/// closed.
+#[test]
+fn distributed_products_are_checked() {
+    install_quiet_panic_hook();
+    let seed = chaos_seed();
+    let config = ServiceConfig {
+        kernel_policy: policy(),
+        chaos: Some(ChaosConfig {
+            seed,
+            corrupt_per_10k: 10_000,
+            corruption: CorruptionKind::ResidueEvading,
+            ..ChaosConfig::default()
+        }),
+        breaker: BreakerPolicy {
+            failure_threshold: 100,
+            open_ms: 10,
+        },
+        distributed: distributed(0, 0),
+        ..ServiceConfig::default()
+    };
+    let service = MulService::start(config);
+    let (pairs, want) = batch(4, seed ^ 0xd157);
+    let handle = service.submit_many(pairs).unwrap();
+    for (i, (result, want)) in handle.wait().into_iter().zip(want).enumerate() {
+        assert_eq!(result.unwrap(), want, "element {i} must be bit-exact");
+    }
+    let metrics = service.shutdown();
+    assert_eq!(metrics.served, 4);
+    let distributed_served = metrics
+        .per_kernel
+        .iter()
+        .find(|(name, _)| *name == "distributed_toom")
+        .map_or(0, |&(_, n)| n);
+    assert_eq!(distributed_served, 4, "served from the coded machine");
+    assert_eq!(metrics.injected_faults[FaultKind::Corrupt as usize].1, 4);
+    assert_eq!(metrics.verification_failures, 4, "every corruption caught");
+    assert_eq!(metrics.batch_element_retries, 4);
+    assert_eq!(
+        metrics.residue_checks, 8,
+        "four corrupt products and four retried ones, all checked"
+    );
+    assert_eq!(metrics.distributed.runs, 8);
+    assert_eq!(metrics.worker_faults, 0);
 }
 
 #[test]

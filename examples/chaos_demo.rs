@@ -2,8 +2,9 @@
 //! once clean, once with ~10% injected faults (kernel panics, stragglers,
 //! silent product corruptions). Every product is verified against
 //! schoolbook in both runs; the chaos run survives on the supervisor's
-//! retry/backoff, residue spot-checks, and circuit-breaker kernel
-//! degradation, and the metrics snapshot shows the recovery work.
+//! retry/backoff, product checks modulo two secret primes, and
+//! circuit-breaker kernel degradation, and the metrics snapshot shows
+//! the recovery work.
 //!
 //! Run with `cargo run --release --example chaos_demo`.
 

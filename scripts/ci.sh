@@ -88,24 +88,24 @@ cargo run --release -q -p ft-http --bin loadgen -- --quick --rate 120
 # Same smoke against a 3-shard topology behind the front door.
 cargo run --release -q -p ft-http --bin loadgen -- --quick --shards 3
 
-echo "== verify-ladder bench smoke (--quick) =="
-# Reduced run of the per-rung cost bench: asserts the dual rung's
-# default-sampling overhead stays under the 10% gate. The full run (no
-# flags) is the one that merges the verify_ladder section into
+echo "== verify bench smoke (--quick) =="
+# Reduced run of the product-check cost bench: asserts the check costs at
+# most 5% of the multiply from 50 kbit up. The full run (no flags) adds
+# the 9 Mbit NTT row and merges the verify section into
 # BENCH_service.json.
-cargo run --release -q -p ft-bench --bin verify_ladder -- --quick
+cargo run --release -q -p ft-bench --bin verify_overhead -- --quick
 
 echo "== chaos pass (deterministic seed matrix) =="
 # Injected-fault tests must stay reproducible and gating: every fault
 # decision derives from the seed, independent of scheduling. The matrix
-# re-runs the service chaos suite (mixed-kernel AND NTT-served legs), the
-# verification-ladder suite, the machine-level chaos suite (including the
-# coded-NTT machine), and the distributed-backend e2e under three seeds
-# so a lucky default seed can't hide a recovery bug.
+# re-runs the service chaos suite (mixed-kernel AND NTT-served legs, and
+# the breaker on repeat and intermittent corrupters), the machine-level
+# chaos suite (including the coded-NTT machine), and the
+# distributed-backend e2e (including the check of distributed products)
+# under three seeds so a lucky default seed can't hide a recovery bug.
 for seed in 42 1337 2024; do
   echo "-- FT_CHAOS_SEED=$seed --"
   FT_CHAOS_SEED=$seed cargo test -p ft-service --test chaos -q
-  FT_CHAOS_SEED=$seed cargo test -p ft-service --test verify_ladder -q
   FT_CHAOS_SEED=$seed cargo test -p ft-service --test distributed -q
   FT_CHAOS_SEED=$seed cargo test -p ft-toom --test machine_chaos -q
 done
@@ -113,10 +113,10 @@ done
 echo "== chaos pass (residue-evading corruption) =="
 # The same service chaos suite (mixed-kernel and NTT-served legs) with
 # the injector switched to deltas that are divisible by 2^128 - 1 —
-# invisible to the residue rung by construction. The suite flips the
-# dual-algorithm rung to always-on and asserts zero corrupt responses
-# with every escalation metered, proving the ladder (not the residue
-# check) carries these runs.
+# invisible to a check modulo 2^64 +- 1 by construction. The default
+# config now carries these runs: its check modulo two secret primes
+# must catch every one, and the suite asserts zero corrupt responses and
+# exactly one verification failure per injected corruption.
 for seed in 42 1337; do
   echo "-- FT_CHAOS_SEED=$seed FT_CHAOS_CORRUPTION=residue_evading --"
   FT_CHAOS_SEED=$seed FT_CHAOS_CORRUPTION=residue_evading \
