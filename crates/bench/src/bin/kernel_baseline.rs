@@ -1,11 +1,13 @@
 //! Limb-kernel perf trajectory: ns/op and allocations/op for schoolbook,
 //! Karatsuba, sequential Toom-Cook, and parallel Toom-Cook at 1k–256kbit,
-//! plus the big-operand 256kbit–16Mbit crossover curve of the two-prime
-//! CRT NTT kernel against sequential Toom-3, written to
-//! `BENCH_kernels.json` at the repo root. The full run gates on the NTT
-//! beating Toom-3 by ≥1.5× at the largest size (above the default
-//! `ntt_min_bits` crossover); `--quick` smoke-runs one NTT size class
-//! without the gate.
+//! plus the big-operand crossover of the two-prime CRT NTT kernel against
+//! sequential and parallel Toom-3 at six of ftbench `big`'s sizes
+//! (1.2–11 Mbit), written to `BENCH_kernels.json` at the repo root. The
+//! three big kernels are timed interleaved, round by round, and each
+//! records its median, so a burst of host noise lands on all three. Both
+//! the full run and `--quick` gate on the NTT beating both Toom kernels by
+//! ≥1.5× at 2 Mbit, the `big` size just above the default `ntt_min_bits`
+//! crossover (1 Mbit); `--quick` times that size alone.
 //!
 //! Run with
 //! `cargo run --release -p ft-bench --features count-allocs --bin kernel_baseline`.
@@ -58,17 +60,20 @@ const BASELINE: &[(&str, u64, f64, f64)] = &[
 const SIZES: [u64; 5] = [1_024, 4_096, 16_384, 65_536, 262_144];
 const QUICK_SIZES: [u64; 2] = [1_024, 16_384];
 
-/// The big-operand crossover curve: sequential Toom-3 vs the NTT from
-/// 256 kbit to 16 Mbit. The default `ntt_min_bits` (8 Mbit) sits inside
-/// this range, so the curve records both sides of the crossover.
-const BIG_SIZES: [u64; 5] = [262_144, 1_048_576, 4_194_304, 8_388_608, 16_777_216];
-/// One NTT size class for the CI smoke: keeps the NTT path compiling and
-/// measurable without a multi-second multiply in the quick budget.
-const QUICK_BIG_SIZES: [u64; 1] = [262_144];
+/// The big-operand crossover: six of ftbench `big`'s nine sizes (the
+/// midpoints of nine log-uniform strata over 1–12 Mbit), all above the
+/// default `ntt_min_bits` (1 Mbit).
+const BIG_SIZES: [u64; 6] = [
+    1_203_800, 2_091_088, 3_632_373, 4_787_398, 8_316_060, 10_960_406,
+];
+/// The gate size, ROADMAP item 5's "2 Mbit"; also the one size `--quick`
+/// times, where seq Toom takes ~0.1 s.
+const GATE_BITS: u64 = 2_091_088;
+/// Interleaved rounds per size; each kernel's median is recorded.
+const ROUNDS: usize = 5;
 
-/// The acceptance gate at the largest default-NTT size: the NTT must beat
-/// sequential Toom-3 by at least this factor (measured 1.55–1.80× across
-/// sweeps on the CI container).
+/// The acceptance gate at [`GATE_BITS`]: the NTT must beat both sequential
+/// and parallel Toom-3 by at least this factor.
 const NTT_GATE_RATIO: f64 = 1.5;
 
 struct Row {
@@ -149,27 +154,52 @@ fn baseline_for(kernel: &str, bits: u64) -> Option<(f64, f64)> {
         .map(|&(_, _, ns, allocs)| (ns, allocs))
 }
 
-/// One point on the big-operand crossover curve.
+/// One point on the big-operand crossover curve: median ns per multiply.
 struct CrossoverRow {
     bits: u64,
-    toom3_ns: f64,
+    seq_toom_ns: f64,
+    par_toom_ns: f64,
     ntt_ns: f64,
 }
 
-/// Measure the Toom-3 vs NTT crossover at the given sizes (best-effort
-/// single-pass: one warmup plus calibrated iterations per kernel, like
-/// [`measure`] but without the allocation counters — the arena makes the
-/// NTT warm path allocation-free, pinned by the alloc_regression test).
-fn measure_crossover(sizes: &[u64], quick: bool) -> Vec<CrossoverRow> {
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Time seq Toom-3, parallel Toom-3 and the NTT at each size: one warm-up
+/// multiply each (which also checks the three products agree), then
+/// [`ROUNDS`] rounds of one multiply per kernel, in turn.
+fn measure_crossover(sizes: &[u64]) -> Vec<CrossoverRow> {
+    let kernels: [KernelFn; 3] = [
+        Box::new(|a: &BigInt, b: &BigInt| seq::toom_k(a, b, 3)),
+        Box::new(|a: &BigInt, b: &BigInt| {
+            rayon_engine::par_toom_k(a, b, 3, seq::DEFAULT_THRESHOLD_BITS, 2)
+        }),
+        Box::new(|a: &BigInt, b: &BigInt| a.mul_ntt(b)),
+    ];
     sizes
         .iter()
         .map(|&bits| {
-            let toom3 = measure("seq_toom", &|a, b| seq::toom_k(a, b, 3), bits, quick);
-            let ntt = measure("ntt", &|a, b| a.mul_ntt(b), bits, quick);
+            let (a, b) = operands(bits, bits.wrapping_mul(0x9e37_79b9));
+            let want = kernels[0](&a, &b);
+            for f in &kernels[1..] {
+                assert!(f(&a, &b) == want, "big kernels disagree at {bits} bits");
+            }
+            let mut times: [Vec<f64>; 3] = Default::default();
+            for _ in 0..ROUNDS {
+                for (f, t) in kernels.iter().zip(&mut times) {
+                    let start = Instant::now();
+                    std::hint::black_box(f(std::hint::black_box(&a), std::hint::black_box(&b)));
+                    t.push(start.elapsed().as_nanos() as f64);
+                }
+            }
+            let [seq_toom, par_toom, ntt] = times.map(median);
             CrossoverRow {
                 bits,
-                toom3_ns: toom3.ns_per_op,
-                ntt_ns: ntt.ns_per_op,
+                seq_toom_ns: seq_toom,
+                par_toom_ns: par_toom,
+                ntt_ns: ntt,
             }
         })
         .collect()
@@ -199,14 +229,18 @@ fn json_escape_free(rows: &[Row], crossover: &[CrossoverRow]) -> String {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ],\n  \"ntt_crossover\": [\n");
+    out.push_str(&format!(
+        "  ],\n  \"ntt_crossover_rounds\": {ROUNDS},\n  \"ntt_crossover\": [\n"
+    ));
     for (i, r) in crossover.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"bits\": {}, \"seq_toom_ns\": {:.0}, \"ntt_ns\": {:.0}, \"toom_over_ntt\": {:.3}}}{}\n",
+            "    {{\"bits\": {}, \"seq_toom_ns\": {:.0}, \"par_toom_ns\": {:.0}, \"ntt_ns\": {:.0}, \"seq_toom_over_ntt\": {:.3}, \"par_toom_over_ntt\": {:.3}}}{}\n",
             r.bits,
-            r.toom3_ns,
+            r.seq_toom_ns,
+            r.par_toom_ns,
             r.ntt_ns,
-            r.toom3_ns / r.ntt_ns,
+            r.seq_toom_ns / r.ntt_ns,
+            r.par_toom_ns / r.ntt_ns,
             if i + 1 == crossover.len() { "" } else { "," }
         ));
     }
@@ -265,32 +299,43 @@ fn main() {
         }
     }
 
-    let big_sizes: &[u64] = if quick { &QUICK_BIG_SIZES } else { &BIG_SIZES };
-    println!("\nbig-operand crossover: seq Toom-3 vs two-prime CRT NTT");
+    let big_sizes: &[u64] = if quick { &[GATE_BITS] } else { &BIG_SIZES };
     println!(
-        "{:<12} {:>14} {:>14} {:>10}",
-        "bits", "toom3 ns/op", "ntt ns/op", "toom÷ntt"
+        "\nbig-operand crossover: seq/par Toom-3 vs two-prime CRT NTT \
+         (median of {ROUNDS} interleaved rounds, {} cores)",
+        std::thread::available_parallelism().map_or(1, usize::from)
     );
-    let crossover = measure_crossover(big_sizes, quick);
+    println!(
+        "{:<12} {:>14} {:>14} {:>14} {:>9} {:>9}",
+        "bits", "seq ns/op", "par ns/op", "ntt ns/op", "seq÷ntt", "par÷ntt"
+    );
+    let crossover = measure_crossover(big_sizes);
     for r in &crossover {
         println!(
-            "{:<12} {:>14.0} {:>14.0} {:>9.2}x",
+            "{:<12} {:>14.0} {:>14.0} {:>14.0} {:>8.2}x {:>8.2}x",
             r.bits,
-            r.toom3_ns,
+            r.seq_toom_ns,
+            r.par_toom_ns,
             r.ntt_ns,
-            r.toom3_ns / r.ntt_ns
+            r.seq_toom_ns / r.ntt_ns,
+            r.par_toom_ns / r.ntt_ns
+        );
+    }
+    // The acceptance gate: at 2 Mbit the NTT must clearly beat both Toom
+    // kernels.
+    let gate = crossover
+        .iter()
+        .find(|r| r.bits == GATE_BITS)
+        .expect("the gate size is measured");
+    for (name, toom_ns) in [("seq", gate.seq_toom_ns), ("par", gate.par_toom_ns)] {
+        let ratio = toom_ns / gate.ntt_ns;
+        assert!(
+            ratio >= NTT_GATE_RATIO,
+            "NTT speedup {ratio:.2}x over {name} Toom-3 at {GATE_BITS} bits \
+             breaches the {NTT_GATE_RATIO}x gate"
         );
     }
     if !quick {
-        // The acceptance gate: at the largest size (above the default
-        // ntt_min_bits crossover) the NTT must clearly win.
-        let last = crossover.last().expect("BIG_SIZES is non-empty");
-        let ratio = last.toom3_ns / last.ntt_ns;
-        assert!(
-            ratio >= NTT_GATE_RATIO,
-            "NTT speedup {ratio:.2}x over Toom-3 at {} bits breaches the {NTT_GATE_RATIO}x gate",
-            last.bits
-        );
         let json = json_escape_free(&rows, &crossover);
         std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
         println!("\nwrote BENCH_kernels.json");

@@ -1,10 +1,13 @@
 //! Crossover tuning for the scratch-arena kernels: measures the limb-level
 //! auto-dispatch (`BigInt::mul_auto`) against digit-level Toom-Cook at a
-//! sweep of base-case thresholds, to pick `seq::DEFAULT_THRESHOLD_BITS`,
-//! the `auto_mul` bands, and the service `KernelPolicy` defaults. The
-//! big-operand table at the end sweeps forced Karatsuba vs Toom-3 vs the
-//! two-prime NTT from 256 kbit to 16 Mbit — the `ntt::NTT_THRESHOLD_LIMBS`
-//! / `KernelPolicy::ntt_min_bits` crossover comes from that table.
+//! sweep of base-case thresholds, to pick `seq::DEFAULT_THRESHOLD_BITS`
+//! and the `auto_mul` bands (`mul_auto` itself hands over to the NTT at
+//! 1 Mbit). The big-operand table at the end sweeps forced Karatsuba vs
+//! Toom-3 vs the two-prime NTT from 128 kbit to 16 Mbit. With
+//! `kernel_baseline`'s interleaved medians at ftbench `big`'s sizes, it
+//! backs `ntt::NTT_THRESHOLD_LIMBS`, the one constant the NTT crossover
+//! is kept in (`seq::NTT_MIN_BITS` and the `KernelPolicy` defaults derive
+//! from it).
 //!
 //! Run with `cargo run --release -p ft-bench --bin tune_thresholds`.
 //! Output is a table, not a JSON artifact — this is an operator tool.

@@ -1,13 +1,13 @@
 //! Allocation-regression pin for the warm NTT multiply path.
 //!
 //! A warm 256-kbit two-prime CRT NTT multiply draws every scratch buffer
-//! (digit splits, per-prime residue vectors, CRT temporaries) from the
-//! thread-local workspace arena, and the twiddle tables are grow-only
-//! thread-locals built on first use — so the warm path performs only the
-//! handful of allocations that outlive the arena (the product's limb
-//! vector). This pins that number with headroom so a refactor that
-//! reintroduces per-transform allocation fails CI instead of only
-//! showing up in BENCH_kernels.json.
+//! (both primes' digit vectors) from the caller's workspace arena, and
+//! the twiddle tables are one process-wide set built on first use — so
+//! the warm path performs only the handful of allocations that outlive
+//! the arena: the product's limb vector and the bookkeeping of the one
+//! scoped helper thread that convolves the second prime. This pins that
+//! number with headroom so a refactor that reintroduces per-transform
+//! allocation fails CI instead of only showing up in BENCH_kernels.json.
 //!
 //! This file must stay a single-test binary: the counting allocator's
 //! counters are process-wide, so a sibling test running concurrently
@@ -28,8 +28,8 @@ fn warm_256kbit_ntt_stays_under_allocation_budget() {
     let (a, b) = operands(262_144, 0x5eed);
     let expected = &a * &b;
 
-    // Warm up: grow the thread-local arena and both primes' twiddle
-    // tables to steady state.
+    // Warm up: grow the thread-local arena and the shared twiddle tables
+    // to steady state.
     for _ in 0..3 {
         assert_eq!(a.mul_ntt(&b), expected);
     }

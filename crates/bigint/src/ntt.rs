@@ -15,26 +15,38 @@
 //! * `P0 = 57·2^55 + 1`, generator 7
 //! * `P1 = 27·2^56 + 1`, generator 5
 //!
-//! The butterflies use Shoup multiplication: each twiddle `w` is cached
-//! with its companion `⌊w·2^64/p⌋`, so the inner loop is two widening
-//! multiplies and one conditional subtraction — no division, valid because
-//! both primes are below `2^63`. Twiddle tables are flat and *prefix
-//! closed* (`tw[k+j] = w_{2k}^j`), so one grow-only per-thread cache
-//! serves every transform size up to the largest seen.
+//! The butterflies are Harvey's lazy ones: values stay in `[0, 2p)`
+//! between stages and are corrected branch-free (`x.min(x − 2p)`), which
+//! is sound because both primes are below `2^62`. Each twiddle `w` is
+//! cached with its Shoup companion `⌊w·2^64/p⌋`, so a butterfly is two
+//! widening multiplies and no division. The stage order is depth-first:
+//! a transform finishes every stage of a block of `BLOCK` (2^11) words
+//! while the block sits in L1 before moving to the next, so only the top
+//! `log2(N/BLOCK)` stages stream the whole buffer (the blocking of Chen
+//! et al., PAPERS.md).
 //!
-//! The warm path is allocation-free: all five `N`-limb scratch buffers
-//! come from one [`Workspace::alloc`] split, and the twiddle cache only
-//! grows when a new maximum size appears. The transform primitives are
-//! `pub` so the coded-NTT machine protocol (`ft-toom-core::ft::ntt`) can
-//! run column transforms under the same arithmetic.
+//! Twiddle tables are flat and *prefix closed* (`tw[k+j] = w_{2k}^j`), so
+//! one table serves every transform size up to the largest built. One set
+//! is shared by the whole process: nothing is built at start-up; the
+//! first transform builds it, a larger one regrows it under a lock, and
+//! every transform reads it through an `Arc`.
+//!
+//! [`mul_ntt_into`] convolves prime 0 on the calling thread while one
+//! scoped helper thread convolves prime 1, each on its own half of one
+//! [`Workspace::alloc`] split of `4N` limbs; the warm path allocates
+//! nothing but the product and the helper. The transform primitives
+//! ([`forward`], [`inverse`]) stay single-threaded and are `pub` so the
+//! coded-NTT machine protocol (`ft-toom-core::ft::ntt`) can run column
+//! transforms under the same arithmetic.
 
 use crate::metrics;
 use crate::workspace::{self, Workspace};
 use crate::{BigInt, Limb, Sign};
-use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 
 /// The two CRT primes, most-significant first: `p0 = 57·2^55 + 1` and
-/// `p1 = 27·2^56 + 1`. Both `< 2^63` (Shoup-safe), both `≡ 1 mod 2^55`.
+/// `p1 = 27·2^56 + 1`. Both `< 2^62` (lazy-butterfly safe), both
+/// `≡ 1 mod 2^55`.
 pub const PRIMES: [u64; 2] = [P0, P1];
 
 const P0: u64 = 2_053_641_430_080_946_177; // 57 * 2^55 + 1
@@ -67,12 +79,17 @@ pub const DIGIT_BITS: u32 = 32;
 const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
 
 /// Below this many limbs in the *shorter* operand, [`mul_ntt_into`] is not
-/// selected by the auto dispatch: 131 072 limbs = 8 Mbit, where the NTT
-/// beats Toom-3 by ≥1.5× and Karatsuba by ≥2× on the CI container in
-/// repeated `tune_thresholds` sweeps (the win is real from ~3 Mbit, but
-/// run-to-run noise there is larger than the margin; see
-/// BENCH_kernels.json / EXPERIMENTS.md §S9).
-pub const NTT_THRESHOLD_LIMBS: usize = 131_072;
+/// selected by the auto dispatch: 16 384 limbs = 1 Mbit. With one prime
+/// per core the NTT beats sequential Toom-3 and parallel Toom at every
+/// size from there up on the 2-core host of BENCH_kernels.json (see
+/// EXPERIMENTS.md §S9). The crossover is kept here only:
+/// `ft_toom_core::seq::NTT_MIN_BITS` and the service's `KernelPolicy`
+/// defaults derive from it.
+pub const NTT_THRESHOLD_LIMBS: usize = 16_384;
+
+/// Words one transform block keeps in L1: every stage below this size
+/// runs to completion on one block before the next block is touched.
+const BLOCK: usize = 1 << 11;
 
 // ---------------------------------------------------------------------------
 // Modular arithmetic helpers (pub for the coded-NTT machine protocol).
@@ -82,23 +99,21 @@ pub const NTT_THRESHOLD_LIMBS: usize = 131_072;
 #[inline(always)]
 #[must_use]
 pub fn add_mod(a: u64, b: u64, p: u64) -> u64 {
-    let s = a + b;
-    if s >= p {
-        s - p
-    } else {
-        s
-    }
+    reduce_once(a + b, p)
 }
 
 /// `(a − b) mod p`, requiring `a, b < p`.
 #[inline(always)]
 #[must_use]
 pub fn sub_mod(a: u64, b: u64, p: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a + p - b
-    }
+    reduce_once(a + p - b, p)
+}
+
+/// `x mod m` for `x < 2m`, branch-free: `x − m` wraps above `x` exactly
+/// when `x < m`.
+#[inline(always)]
+fn reduce_once(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
 }
 
 /// `(a · b) mod p` through a 128-bit product. Fine off the hot path; the
@@ -138,17 +153,20 @@ pub fn shoup_precompute(w: u64, p: u64) -> u64 {
 }
 
 /// `(x · w) mod p` with `w`'s precomputed companion `w_shoup`; requires
-/// `p < 2^63` and `x, w < p`. Two widening multiplies, one correction.
+/// `p < 2^63` and `w < p` (any `x`). Two widening multiplies, one
+/// correction.
 #[inline(always)]
 #[must_use]
 pub fn shoup_mul(x: u64, w: u64, w_shoup: u64, p: u64) -> u64 {
+    reduce_once(shoup_lazy(x, w, w_shoup, p), p)
+}
+
+/// [`shoup_mul`] without its correction: `x·w mod p` plus at most one
+/// `p`, so in `[0, 2p)`, for every `x < 2^64`.
+#[inline(always)]
+fn shoup_lazy(x: u64, w: u64, w_shoup: u64, p: u64) -> u64 {
     let q = ((u128::from(x) * u128::from(w_shoup)) >> 64) as u64;
-    let r = x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p));
-    if r >= p {
-        r - p
-    } else {
-        r
-    }
+    x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p))
 }
 
 /// A primitive root of unity of the given power-of-two `order` modulo
@@ -167,19 +185,15 @@ pub fn root_of_order(prime: usize, order: usize) -> u64 {
     pow_mod(ROOTS[prime], 1u64 << (ADICITY[prime] - e), PRIMES[prime])
 }
 
-/// `(a · b) mod p` in Montgomery form: returns `a·b·2^{-64} mod p`. The
-/// pointwise stage uses this and folds the stray `2^{-64}` into the final
-/// `n^{-1}` scaling — no division anywhere on the hot path.
+/// `a·b·2^{-64} mod p`, lazily: inputs in `[0, 2p)`, result in `[0, 2p)`
+/// (both hold because `4p < 2^64`). The pointwise stage uses this and
+/// folds the stray `2^{-64}` into the final `n^{-1}` scaling — no division
+/// anywhere on the hot path.
 #[inline(always)]
-fn mont_mul(a: u64, b: u64, p: u64, ninv: u64) -> u64 {
+fn mont_mul_lazy(a: u64, b: u64, p: u64, ninv: u64) -> u64 {
     let t = u128::from(a) * u128::from(b);
     let m = (t as u64).wrapping_mul(ninv);
-    let u = ((t + u128::from(m) * u128::from(p)) >> 64) as u64;
-    if u >= p {
-        u - p
-    } else {
-        u
-    }
+    ((t + u128::from(m) * u128::from(p)) >> 64) as u64
 }
 
 /// CRT-combine residues of the same coefficient modulo `P0` and `P1` into
@@ -190,7 +204,7 @@ fn mont_mul(a: u64, b: u64, p: u64, ninv: u64) -> u64 {
 #[must_use]
 pub fn crt_combine(r0: u64, r1: u64) -> u128 {
     // c = r0 + p0 · ((r1 − r0) · p0^{-1} mod p1)
-    let r0_mod_p1 = if r0 >= P1 { r0 - P1 } else { r0 };
+    let r0_mod_p1 = reduce_once(r0, P1);
     let diff = sub_mod(r1, r0_mod_p1, P1);
     const LIFT_SHOUP: u64 = ((P0_INV_MOD_P1 as u128) << 64).wrapping_div(P1 as u128) as u64;
     let t = shoup_mul(diff, P0_INV_MOD_P1, LIFT_SHOUP, P1);
@@ -198,66 +212,88 @@ pub fn crt_combine(r0: u64, r1: u64) -> u128 {
 }
 
 // ---------------------------------------------------------------------------
-// Transforms.
+// Twiddle tables.
 // ---------------------------------------------------------------------------
 
-/// Grow-only flat twiddle tables for one prime. `tw[k + j] = w_{2k}^j`
-/// (forward) and `itw[k + j] = w_{2k}^{-j}` (inverse) for every power of
-/// two `k < built`, with Shoup companions alongside — the prefix for a
-/// smaller transform is exactly the smaller transform's table.
+/// A twiddle and its Shoup companion, side by side so one cache line
+/// serves both loads.
+type Twiddle = [u64; 2];
+
+/// One prime's flat twiddle tables: `fwd[k + j] = w_{2k}^j` and
+/// `inv[k + j] = w_{2k}^{-j}` for every power of two `k` below the
+/// table length and `j < k` — the prefix for a smaller transform is
+/// exactly the smaller transform's table.
 struct PrimeTables {
-    tw: Vec<u64>,
-    tws: Vec<u64>,
-    itw: Vec<u64>,
-    itws: Vec<u64>,
-    built: usize,
+    fwd: Vec<Twiddle>,
+    inv: Vec<Twiddle>,
 }
 
 impl PrimeTables {
-    const fn new() -> PrimeTables {
-        PrimeTables {
-            tw: Vec::new(),
-            tws: Vec::new(),
-            itw: Vec::new(),
-            itws: Vec::new(),
-            built: 0,
-        }
-    }
-
-    /// Extend the tables to cover transforms of size `n` (a power of two).
-    fn ensure(&mut self, prime: usize, n: usize) {
-        if self.built >= n {
-            return;
-        }
+    /// Tables for every transform up to `len` (a power of two `≥ 2`).
+    /// Only the top segment costs a division per entry (its Shoup
+    /// companion); every other entry is copied or negated.
+    fn build(prime: usize, len: usize) -> PrimeTables {
         let p = PRIMES[prime];
-        self.tw.resize(n, 0);
-        self.tws.resize(n, 0);
-        self.itw.resize(n, 0);
-        self.itws.resize(n, 0);
-        let mut k = self.built.max(1);
-        while k < n {
-            // Segment [k, 2k): powers of the primitive 2k-th root.
-            let w = root_of_order(prime, 2 * k);
-            let winv = inv_mod(w, p);
-            let (mut f, mut r) = (1u64, 1u64);
+        let half = len / 2;
+        let mut fwd = vec![[0u64; 2]; len];
+        // Top segment [half, len): powers of the primitive len-th root.
+        let w = root_of_order(prime, len);
+        let w_shoup = shoup_precompute(w, p);
+        let mut f = 1u64;
+        for entry in &mut fwd[half..] {
+            *entry = [f, shoup_precompute(f, p)];
+            f = shoup_mul(f, w, w_shoup, p);
+        }
+        // Smaller segments by stride: w_{2k}^j = w_{4k}^{2j}.
+        let mut k = half / 2;
+        while k >= 1 {
             for j in 0..k {
-                self.tw[k + j] = f;
-                self.tws[k + j] = shoup_precompute(f, p);
-                self.itw[k + j] = r;
-                self.itws[k + j] = shoup_precompute(r, p);
-                f = mul_mod(f, w, p);
-                r = mul_mod(r, winv, p);
+                fwd[k + j] = fwd[2 * k + 2 * j];
+            }
+            k /= 2;
+        }
+        // w_{2k}^{-j} = −w_{2k}^{k−j} (as w_{2k}^k = −1), and the companion
+        // of p − w is 2^64 − 1 − ⌊w·2^64/p⌋ (w·2^64/p is never an integer).
+        let mut inv = vec![[0u64; 2]; len];
+        let mut k = 1;
+        while k < len {
+            inv[k] = fwd[k];
+            for j in 1..k {
+                let [w, c] = fwd[2 * k - j];
+                inv[k + j] = [p - w, !c];
             }
             k *= 2;
         }
-        self.built = n;
+        PrimeTables { fwd, inv }
     }
 }
 
-thread_local! {
-    static TABLES: RefCell<[PrimeTables; 2]> =
-        const { RefCell::new([PrimeTables::new(), PrimeTables::new()]) };
+/// Both primes' tables, indexed by prime.
+type Tables = [PrimeTables; 2];
+
+/// The process's tables, grown to the largest transform seen. Callers
+/// clone the `Arc` and release the lock; a caller that needs a larger
+/// transform builds the larger set while holding it.
+static TABLES: Mutex<Option<Arc<Tables>>> = Mutex::new(None);
+
+/// Tables covering transforms of length `len` (a power of two `≥ 2`).
+fn tables(len: usize) -> Arc<Tables> {
+    let mut slot = TABLES
+        .lock()
+        .expect("a thread panicked while building the NTT tables");
+    match &*slot {
+        Some(t) if t[0].fwd.len() >= len => Arc::clone(t),
+        _ => {
+            let t = Arc::new([PrimeTables::build(0, len), PrimeTables::build(1, len)]);
+            *slot = Some(Arc::clone(&t));
+            t
+        }
+    }
 }
+
+// ---------------------------------------------------------------------------
+// Transforms.
+// ---------------------------------------------------------------------------
 
 /// In-place bit-reversal permutation of a power-of-two-length slice.
 fn bit_reverse(data: &mut [u64]) {
@@ -276,63 +312,91 @@ fn bit_reverse(data: &mut [u64]) {
     }
 }
 
-/// Cooley–Tukey decimation-in-time stages: **bit-reversed** input,
-/// natural-order output, no scaling. `tw[k + j] = w_{2k}^j`.
-fn dit_stages(data: &mut [u64], p: u64, tw: &[u64], tws: &[u64]) {
-    let n = data.len();
-    debug_assert!(n.is_power_of_two());
-    let mut k = 1;
-    while k < n {
-        let (wk, wsk) = (&tw[k..2 * k], &tws[k..2 * k]);
-        for block in data.chunks_exact_mut(2 * k) {
-            let (lo, hi) = block.split_at_mut(k);
-            for j in 0..k {
-                let t = shoup_mul(hi[j], wk[j], wsk[j], p);
-                let u = lo[j];
-                lo[j] = add_mod(u, t, p);
-                hi[j] = sub_mod(u, t, p);
-            }
-        }
-        k *= 2;
-    }
-    // One tallied word-op per butterfly per stage: N/2 · log2 N in total
-    // (§2.1 cost model — the machine simulator folds this into F).
+/// One tallied word-op per butterfly per stage: `N/2 · log2 N` per
+/// transform (§2.1 cost model — the machine simulator folds this into F).
+fn tally_transform(n: usize) {
     metrics::tally(((n / 2) * n.trailing_zeros() as usize) as u64);
 }
 
-/// Gentleman–Sande decimation-in-frequency stages: natural-order input,
-/// **bit-reversed** output, no scaling. Paired with [`dit_stages`] on the
-/// inverse tables this multiplies polynomials without any bit-reversal
-/// pass — the pointwise product is taken in bit-reversed order, where
-/// elementwise position is all that matters.
-fn dif_stages(data: &mut [u64], p: u64, tw: &[u64], tws: &[u64]) {
-    let n = data.len();
-    debug_assert!(n.is_power_of_two());
-    let mut k = n / 2;
-    while k >= 1 {
-        let (wk, wsk) = (&tw[k..2 * k], &tws[k..2 * k]);
-        for block in data.chunks_exact_mut(2 * k) {
-            let (lo, hi) = block.split_at_mut(k);
-            for j in 0..k {
-                let u = lo[j];
-                let v = hi[j];
-                lo[j] = add_mod(u, v, p);
-                hi[j] = shoup_mul(sub_mod(u, v, p), wk[j], wsk[j], p);
-            }
+/// One Gentleman–Sande stage of half-width `k` over every `2k` block:
+/// `(u, v) → (u + v, (u − v)·w_{2k}^j)`, values in `[0, 2p)` in and out.
+#[inline(always)]
+fn dif_stage(data: &mut [u64], k: usize, p: u64, tw: &[Twiddle]) {
+    let two_p = 2 * p;
+    let tw = &tw[k..2 * k];
+    for block in data.chunks_exact_mut(2 * k) {
+        let (lo, hi) = block.split_at_mut(k);
+        for ((x, y), &[w, w_shoup]) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let (u, v) = (*x, *y);
+            *x = reduce_once(u + v, two_p);
+            *y = shoup_lazy(u + two_p - v, w, w_shoup, p);
         }
-        k /= 2;
     }
-    metrics::tally(((n / 2) * n.trailing_zeros() as usize) as u64);
 }
 
-/// Natural-order-to-natural-order transform (bit-reverse, then DIT).
-fn transform(data: &mut [u64], p: u64, tw: &[u64], tws: &[u64]) {
-    bit_reverse(data);
-    dit_stages(data, p, tw, tws);
+/// One Cooley–Tukey stage of half-width `k` over every `2k` block:
+/// `(u, v) → (u + v·w_{2k}^j, u − v·w_{2k}^j)`, values in `[0, 2p)` in
+/// and out.
+#[inline(always)]
+fn dit_stage(data: &mut [u64], k: usize, p: u64, tw: &[Twiddle]) {
+    let two_p = 2 * p;
+    let tw = &tw[k..2 * k];
+    for block in data.chunks_exact_mut(2 * k) {
+        let (lo, hi) = block.split_at_mut(k);
+        for ((x, y), &[w, w_shoup]) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let u = *x;
+            let t = shoup_lazy(*y, w, w_shoup, p);
+            *x = reduce_once(u + t, two_p);
+            *y = reduce_once(u + two_p - t, two_p);
+        }
+    }
+}
+
+/// Decimation-in-frequency stages, depth-first: natural-order input,
+/// **bit-reversed** output, no scaling, values in `[0, 2p)`. The top stage
+/// splits the slice into two independent half-size transforms; below
+/// [`BLOCK`] words all stages run on the block while it is in cache.
+fn dif(data: &mut [u64], p: u64, tw: &[Twiddle]) {
+    let n = data.len();
+    if n <= BLOCK {
+        let mut k = n / 2;
+        while k >= 1 {
+            dif_stage(data, k, p, tw);
+            k /= 2;
+        }
+        return;
+    }
+    dif_stage(data, n / 2, p, tw);
+    let (lo, hi) = data.split_at_mut(n / 2);
+    dif(lo, p, tw);
+    dif(hi, p, tw);
+}
+
+/// Decimation-in-time stages, depth-first: **bit-reversed** input,
+/// natural-order output, no scaling, values in `[0, 2p)` — the mirror of
+/// [`dif`]. Paired with it on the inverse tables this multiplies
+/// polynomials without any bit-reversal pass: the pointwise product is
+/// taken in bit-reversed order, where elementwise position is all that
+/// matters.
+fn dit(data: &mut [u64], p: u64, tw: &[Twiddle]) {
+    let n = data.len();
+    if n <= BLOCK {
+        let mut k = 1;
+        while k < n {
+            dit_stage(data, k, p, tw);
+            k *= 2;
+        }
+        return;
+    }
+    let (lo, hi) = data.split_at_mut(n / 2);
+    dit(lo, p, tw);
+    dit(hi, p, tw);
+    dit_stage(data, n / 2, p, tw);
 }
 
 /// Forward NTT of `data` (length a power of two, entries `< PRIMES[prime]`)
-/// using this thread's twiddle cache. Natural order in and out.
+/// using the shared twiddle tables. Natural order in and out, entries
+/// fully reduced.
 ///
 /// # Panics
 /// If the length is not a power of two within the prime's 2-adicity.
@@ -342,32 +406,36 @@ pub fn forward(prime: usize, data: &mut [u64]) {
         return;
     }
     assert!(n.is_power_of_two(), "NTT length must be a power of two");
-    TABLES.with(|cell| {
-        let tables = &mut cell.borrow_mut()[prime];
-        tables.ensure(prime, n);
-        transform(data, PRIMES[prime], &tables.tw, &tables.tws);
-    });
+    let p = PRIMES[prime];
+    dif(data, p, &tables(n)[prime].fwd);
+    tally_transform(n);
+    bit_reverse(data);
+    for x in data.iter_mut() {
+        *x = reduce_once(*x, p);
+    }
 }
 
-/// Inverse NTT of `data`, including the final `n^{-1}` scaling.
+/// Inverse NTT of `data`, including the final `n^{-1}` scaling; entries
+/// fully reduced.
+///
+/// # Panics
+/// If the length is not a power of two within the prime's 2-adicity.
 pub fn inverse(prime: usize, data: &mut [u64]) {
     let n = data.len();
     if n <= 1 {
         return;
     }
     assert!(n.is_power_of_two(), "NTT length must be a power of two");
-    let p = PRIMES[prime];
-    TABLES.with(|cell| {
-        let tables = &mut cell.borrow_mut()[prime];
-        tables.ensure(prime, n);
-        transform(data, p, &tables.itw, &tables.itws);
-    });
+    bit_reverse(data);
+    dit(data, PRIMES[prime], &tables(n)[prime].inv);
+    tally_transform(n);
     scale_by_inv_len(prime, data);
 }
 
 /// Multiply every entry by `len^{-1} mod p` — the normalization a raw
-/// inverse `transform` leaves out (exposed for protocols that fold the
-/// scaling into a later stage).
+/// inverse transform leaves out (exposed for protocols that fold the
+/// scaling into a later stage). Entries may be any `u64`; results are
+/// fully reduced.
 pub fn scale_by_inv_len(prime: usize, data: &mut [u64]) {
     let p = PRIMES[prime];
     let ninv = inv_mod(data.len() as u64 % p, p);
@@ -398,25 +466,62 @@ pub fn transform_size(la: usize, lb: usize) -> usize {
 /// Split limbs into base-`2^32` digits, zero-padding `out` past the end.
 /// Every digit is `< 2^32`, hence already reduced modulo both primes.
 pub fn split_digits(limbs: &[Limb], out: &mut [u64]) {
-    debug_assert!(out.len() >= digit_count(limbs.len()));
-    for (i, &limb) in limbs.iter().enumerate() {
-        out[2 * i] = limb & DIGIT_MASK;
-        out[2 * i + 1] = limb >> DIGIT_BITS;
-    }
-    out[digit_count(limbs.len())..].fill(0);
+    split_untallied(limbs, out);
     metrics::tally(limbs.len() as u64);
 }
 
-/// Scratch requirement (in limbs) of [`mul_ntt_into`]: five transform-sized
-/// buffers from one arena allocation.
+fn split_untallied(limbs: &[Limb], out: &mut [u64]) {
+    let (digits, pad) = out.split_at_mut(digit_count(limbs.len()));
+    for (pair, &limb) in digits.chunks_exact_mut(2).zip(limbs) {
+        pair[0] = limb & DIGIT_MASK;
+        pair[1] = limb >> DIGIT_BITS;
+    }
+    pad.fill(0);
+}
+
+/// Scratch requirement (in limbs) of [`mul_ntt_into`]: two transform-sized
+/// buffers per prime from one arena allocation.
 #[must_use]
 pub fn ntt_scratch_limbs(la: usize, lb: usize) -> usize {
-    5 * transform_size(la, lb)
+    4 * transform_size(la, lb)
+}
+
+/// Cyclic convolution of `a` and `b` modulo `PRIMES[prime]` in `buf`
+/// (`2N` words): on return `buf[..N]` holds `N·2^{-64}·(a ⊛ b)[i]` in
+/// `[0, 2p)` — [`mul_ntt_into`]'s CRT pass applies the scaling. Splits its
+/// own digits, so the two primes share no buffer.
+fn convolve(prime: usize, a: &[Limb], b: &[Limb], buf: &mut [u64], tables: &Tables) {
+    let p = PRIMES[prime];
+    let t = &tables[prime];
+    let (fa, fb) = buf.split_at_mut(buf.len() / 2);
+    let n = fa.len();
+    split_untallied(a, fa);
+    split_untallied(b, fb);
+    // DIF forward → pointwise in bit-reversed order → DIT inverse: no
+    // bit-reversal pass anywhere. The Montgomery pointwise product carries
+    // a stray 2^{-64}, folded into the final scaling constant.
+    dif(fa, p, &t.fwd);
+    dif(fb, p, &t.fwd);
+    tally_transform(n);
+    tally_transform(n);
+    let ninv = NEG_INV[prime];
+    for (x, &y) in fa.iter_mut().zip(fb.iter()) {
+        *x = mont_mul_lazy(*x, y, p, ninv);
+    }
+    metrics::tally(n as u64);
+    dit(fa, p, &t.inv);
+    tally_transform(n);
+    // The n^{-1}·2^64 scaling, one word-op per coefficient, is applied
+    // where the CRT pass reads the coefficient.
+    metrics::tally(n as u64);
 }
 
 /// `out = a · b` via the two-prime CRT NTT; `out` is fully overwritten
 /// with the normalized `la + lb`-limb product. All scratch comes from
-/// `ws`; the warm path performs no heap allocation.
+/// `ws`; the warm path allocates nothing but the product and the scoped
+/// helper thread that convolves prime 1 while this thread convolves prime
+/// 0. The helper is joined before this returns, and its word-ops are
+/// tallied on this thread, so [`metrics::measure`] sees the whole multiply.
 pub fn mul_ntt_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Workspace) {
     let (la, lb) = (a.len(), b.len());
     out.clear();
@@ -426,61 +531,48 @@ pub fn mul_ntt_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Worksp
     let n = transform_size(la, lb);
     let out_limbs = la + lb;
     out.reserve(out_limbs);
+    let tables = tables(n);
     let mark = ws.mark();
     {
-        let buf = ws.alloc(5 * n);
-        let (da, rest) = buf.split_at_mut(n);
-        let (db, rest) = rest.split_at_mut(n);
-        let (r0, rest) = rest.split_at_mut(n);
-        let (r1, tmp) = rest.split_at_mut(n);
-        split_digits(a, da);
-        split_digits(b, db);
-        TABLES.with(|cell| {
-            let mut tables = cell.borrow_mut();
-            for (prime, res) in [&mut *r0, &mut *r1].into_iter().enumerate() {
-                let p = PRIMES[prime];
-                let t = &mut tables[prime];
-                t.ensure(prime, n);
-                res.copy_from_slice(da);
-                tmp.copy_from_slice(db);
-                // DIF forward → pointwise in bit-reversed order → raw DIT
-                // inverse: no bit-reversal pass anywhere. The Montgomery
-                // pointwise product carries a stray 2^{-64}, folded into
-                // the final scaling constant `n^{-1}·2^64 mod p`.
-                dif_stages(res, p, &t.tw, &t.tws);
-                dif_stages(tmp, p, &t.tw, &t.tws);
-                let ninv = NEG_INV[prime];
-                for (x, &y) in res.iter_mut().zip(tmp.iter()) {
-                    *x = mont_mul(*x, y, p, ninv);
-                }
-                metrics::tally(n as u64);
-                dit_stages(res, p, &t.itw, &t.itws);
-                let r_mod_p = ((1u128 << 64) % u128::from(p)) as u64;
-                let scale = mul_mod(inv_mod(n as u64 % p, p), r_mod_p, p);
-                let scale_shoup = shoup_precompute(scale, p);
-                for x in res.iter_mut() {
-                    *x = shoup_mul(*x, scale, scale_shoup, p);
-                }
-                metrics::tally(n as u64);
-            }
+        let (buf0, buf1) = ws.alloc(4 * n).split_at_mut(2 * n);
+        metrics::tally((la + lb) as u64); // the digit split
+        let helper_ops = std::thread::scope(|s| {
+            let helper = s.spawn(|| metrics::measure(|| convolve(1, a, b, buf1, &tables)).1);
+            convolve(0, a, b, buf0, &tables);
+            helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
-        // CRT lift + base-2^32 carry propagation, packed back to limbs.
-        // `n ≥ 2·out_limbs`, and the product fits `out_limbs` limbs, so the
-        // final carry provably dies in-window.
+        metrics::tally(helper_ops);
+        // Scaling + CRT lift + base-2^32 carry propagation, packed back to
+        // limbs. `n ≥ 2·out_limbs`, and the product fits `out_limbs` limbs,
+        // so the final carry provably dies in-window.
+        let scale = |prime: usize| {
+            let p = PRIMES[prime];
+            let r_mod_p = ((1u128 << 64) % u128::from(p)) as u64;
+            let s = mul_mod(inv_mod(n as u64 % p, p), r_mod_p, p);
+            (s, shoup_precompute(s, p))
+        };
+        let ((s0, s0_shoup), (s1, s1_shoup)) = (scale(0), scale(1));
+        let digits = digit_count(out_limbs);
         let mut carry: u128 = 0;
-        let mut lo32: u64 = 0;
-        for i in 0..digit_count(out_limbs) {
-            let cur = crt_combine(r0[i], r1[i]) + carry;
-            let digit = (cur as u64) & DIGIT_MASK;
-            carry = cur >> DIGIT_BITS;
-            if i % 2 == 0 {
-                lo32 = digit;
-            } else {
-                out.push(lo32 | (digit << DIGIT_BITS));
+        for (r0, r1) in buf0[..digits]
+            .chunks_exact(2)
+            .zip(buf1[..digits].chunks_exact(2))
+        {
+            let mut limb = 0;
+            for (shift, (&x0, &x1)) in [0, DIGIT_BITS].into_iter().zip(r0.iter().zip(r1)) {
+                let cur = crt_combine(
+                    shoup_mul(x0, s0, s0_shoup, P0),
+                    shoup_mul(x1, s1, s1_shoup, P1),
+                ) + carry;
+                limb |= ((cur as u64) & DIGIT_MASK) << shift;
+                carry = cur >> DIGIT_BITS;
             }
+            out.push(limb);
         }
         debug_assert_eq!(carry, 0, "NTT product carry escaped the window");
-        metrics::tally(digit_count(out_limbs) as u64);
+        metrics::tally(digits as u64);
     }
     ws.release(mark);
     while out.last() == Some(&0) {
@@ -490,7 +582,7 @@ pub fn mul_ntt_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Worksp
 
 impl BigInt {
     /// Signed product via the two-prime CRT NTT kernel. `mul_auto` reaches
-    /// this automatically above [`NTT_THRESHOLD_LIMBS`]; this entry point
+    /// this automatically from [`NTT_THRESHOLD_LIMBS`]; this entry point
     /// forces it at any size (tests, explicit kernel selection).
     #[must_use]
     pub fn mul_ntt(&self, other: &BigInt) -> BigInt {
@@ -514,6 +606,16 @@ impl BigInt {
 mod tests {
     use super::*;
 
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut rng = seed;
+        move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        }
+    }
+
     #[test]
     fn primes_are_prime_and_roots_are_primitive() {
         for (i, &p) in PRIMES.iter().enumerate() {
@@ -524,27 +626,114 @@ mod tests {
             let r = ROOTS[i];
             assert_eq!(pow_mod(r, 1 << ADICITY[i], p), 1);
             assert_ne!(pow_mod(r, 1 << (ADICITY[i] - 1), p), 1);
+            // Lazy butterflies hold values below 4p, which must not wrap.
+            assert!(p < 1 << 62);
         }
         // CRT constant.
         assert_eq!(mul_mod(P0 % P1, P0_INV_MOD_P1, P1), 1);
     }
 
+    /// The twiddle tables as they were built before sharing: every entry
+    /// of every segment by repeated `mul_mod`, every companion by division.
+    fn direct_tables(prime: usize, n: usize) -> (Vec<Twiddle>, Vec<Twiddle>) {
+        let p = PRIMES[prime];
+        let (mut fwd, mut inv) = (vec![[0u64; 2]; n], vec![[0u64; 2]; n]);
+        let mut k = 1;
+        while k < n {
+            let w = root_of_order(prime, 2 * k);
+            let winv = inv_mod(w, p);
+            let (mut f, mut r) = (1u64, 1u64);
+            for j in 0..k {
+                fwd[k + j] = [f, shoup_precompute(f, p)];
+                inv[k + j] = [r, shoup_precompute(r, p)];
+                f = mul_mod(f, w, p);
+                r = mul_mod(r, winv, p);
+            }
+            k *= 2;
+        }
+        (fwd, inv)
+    }
+
+    #[test]
+    fn tables_match_the_direct_construction() {
+        for prime in 0..2 {
+            for n in [2usize, 4, 256, 1 << 16] {
+                let built = PrimeTables::build(prime, n);
+                let (fwd, inv) = direct_tables(prime, n);
+                // Entry 0 belongs to no segment.
+                assert_eq!(built.fwd[1..], fwd[1..], "prime {prime} size {n}");
+                assert_eq!(built.inv[1..], inv[1..], "prime {prime} size {n}");
+            }
+        }
+    }
+
+    /// Textbook radix-2 transform: bit-reverse, then Cooley–Tukey stages
+    /// with fully reduced arithmetic and twiddles by `pow_mod`.
+    fn reference_transform(prime: usize, data: &mut [u64], invert: bool) {
+        let p = PRIMES[prime];
+        let n = data.len();
+        bit_reverse(data);
+        let mut k = 1;
+        while k < n {
+            let mut w = root_of_order(prime, 2 * k);
+            if invert {
+                w = inv_mod(w, p);
+            }
+            for block in data.chunks_exact_mut(2 * k) {
+                let mut wj = 1u64;
+                for j in 0..k {
+                    let t = mul_mod(block[k + j], wj, p);
+                    let u = block[j];
+                    block[j] = add_mod(u, t, p);
+                    block[k + j] = sub_mod(u, t, p);
+                    wj = mul_mod(wj, w, p);
+                }
+            }
+            k *= 2;
+        }
+        if invert {
+            let ninv = inv_mod(n as u64, p);
+            for x in data.iter_mut() {
+                *x = mul_mod(*x, ninv, p);
+            }
+        }
+    }
+
     #[test]
     fn forward_inverse_round_trip() {
-        let mut rng = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut next = xorshift(0x1234_5678_9abc_def0);
         for (prime, &p) in PRIMES.iter().enumerate() {
-            for n in [1usize, 2, 4, 64, 1024] {
+            for n in [1usize, 2, 4, 64, 1024, 1 << 12, 1 << 17] {
                 let data: Vec<u64> = (0..n).map(|_| next() % p).collect();
                 let mut work = data.clone();
                 forward(prime, &mut work);
                 inverse(prime, &mut work);
                 assert_eq!(work, data, "prime {prime} size {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_transforms_match_the_radix2_reference() {
+        let mut next = xorshift(0x0bad_cafe_1234_5678);
+        for (prime, &p) in PRIMES.iter().enumerate() {
+            for log_n in 12..=17 {
+                let n = 1usize << log_n;
+                // Entries up to p − 1: the largest inputs the lazy range sees.
+                let data: Vec<u64> = (0..n)
+                    .map(|i| if i % 3 == 0 { p - 1 } else { next() % p })
+                    .collect();
+                for invert in [false, true] {
+                    let mut fast = data.clone();
+                    if invert {
+                        inverse(prime, &mut fast);
+                    } else {
+                        forward(prime, &mut fast);
+                    }
+                    let mut want = data.clone();
+                    reference_transform(prime, &mut want, invert);
+                    assert_eq!(fast, want, "prime {prime} size 2^{log_n} invert {invert}");
+                }
             }
         }
     }
@@ -569,13 +758,7 @@ mod tests {
 
     #[test]
     fn ntt_product_matches_schoolbook() {
-        let mut rng = 0xdead_beef_cafe_f00du64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut next = xorshift(0xdead_beef_cafe_f00d);
         for limbs in [1usize, 2, 17, 64, 200] {
             let a = BigInt::from_limbs((0..limbs).map(|_| next()).collect());
             let b = BigInt::from_limbs((0..limbs + 3).map(|_| next()).collect());
@@ -589,6 +772,20 @@ mod tests {
         assert_eq!(x.mul_ntt(&zero), zero);
         assert_eq!(x.mul_ntt(&one), x);
         assert_eq!(x.mul_ntt(&x), x.mul_schoolbook(&x));
+    }
+
+    #[test]
+    fn word_ops_count_the_whole_multiply_on_the_calling_thread() {
+        // 5 000-limb operands, N = 2^15: la + lb for the split; per prime
+        // three transforms of N/2·log2 N, N pointwise and N scaling; one
+        // per product digit for the CRT. Half of it happens on the helper
+        // thread, and the total is what the single-threaded kernel
+        // tallied.
+        let mut next = xorshift(0x005e_ed0f_0005);
+        let a = BigInt::from_limbs((0..5_000).map(|_| next()).collect());
+        let b = BigInt::from_limbs((0..5_000).map(|_| next()).collect());
+        let (_, ops) = metrics::measure(|| a.mul_ntt(&b));
+        assert_eq!(ops, 1_635_632);
     }
 
     fn miller_rabin(n: u64) -> bool {

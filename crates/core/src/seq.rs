@@ -166,17 +166,16 @@ pub fn auto_mul(a: &BigInt, b: &BigInt) -> BigInt {
         // CI container (see `tune_thresholds`); past that TC-3's better
         // exponent takes over. TC-4's constants never pay off here.
         0..=262_144 => a.mul_auto(b),
-        // TC-3 band ends where the two-prime NTT's ≥1.5× win is stable
-        // across `tune_thresholds` runs (8 Mbit — see EXPERIMENTS.md §S9).
+        // TC-3 band ends where the two-prime NTT, one prime per core,
+        // takes over (1 Mbit — see EXPERIMENTS.md §S9).
         262_145..=NTT_MIN_BITS => toom_k(a, b, 3),
         _ => a.mul_ntt(b),
     }
 }
 
 /// Bits (min of both operands) above which [`auto_mul`] leaves Toom-Cook
-/// for the two-prime CRT NTT. Mirrors
-/// [`ft_bigint::ntt::NTT_THRESHOLD_LIMBS`] and the service
-/// `KernelPolicy::ntt_min_bits` default.
+/// for the two-prime CRT NTT: [`ft_bigint::ntt::NTT_THRESHOLD_LIMBS`] in
+/// bits. The service's `KernelPolicy` defaults derive from it.
 pub const NTT_MIN_BITS: u64 = 64 * ft_bigint::ntt::NTT_THRESHOLD_LIMBS as u64;
 
 /// Install [`auto_mul`] as the process-wide fast-multiply hook in
@@ -445,6 +444,51 @@ mod tests {
             let b = BigInt::random_signed_bits(&mut rng, bits);
             assert_eq!(auto_mul(&a, &b), a.mul_schoolbook(&b), "bits={bits}");
         }
+    }
+
+    /// `2^(32·digits) − 1`: every base-2^32 digit all ones, so every
+    /// product coefficient is as large as it gets — the worst case for the
+    /// NTT's lazy `[0, 2p)` range.
+    fn all_ones(digits: usize) -> BigInt {
+        let mut limbs = vec![u64::MAX; digits / 2];
+        if digits % 2 == 1 {
+            limbs.push(u64::from(u32::MAX));
+        }
+        BigInt::from_limbs(limbs)
+    }
+
+    #[test]
+    fn ntt_matches_seq_toom_across_the_block_cutoff() {
+        // 2^k − 1, 2^k and 2^k + 1 digits put the transform length on both
+        // sides of each power of two, from below the NTT's cache block
+        // (2^11 words) to three blocked levels above it.
+        let check = |a: &BigInt, b: &BigInt| {
+            let want = toom_k(a, b, 3);
+            assert_eq!(
+                a.mul_ntt(b),
+                want,
+                "{} x {} bits",
+                a.bit_length(),
+                b.bit_length()
+            );
+            assert_eq!((-a).mul_ntt(b), -&want);
+            assert_eq!((-a).mul_ntt(&-b), want);
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        for k in 9..=12 {
+            for digits in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                let ones = all_ones(digits);
+                check(&ones, &ones);
+                let other = BigInt::random_bits(&mut rng, 32 * digits as u64);
+                check(&ones, &other);
+                // Unbalanced: a short operand against the long one.
+                check(&ones, &all_ones(37));
+                check(&all_ones(digits / 3 + 1), &other);
+            }
+        }
+        let x = all_ones(1 << 12);
+        assert_eq!(x.mul_ntt(&BigInt::zero()), BigInt::zero());
+        assert_eq!(BigInt::zero().mul_ntt(&x), BigInt::zero());
     }
 
     #[test]

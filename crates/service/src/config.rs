@@ -12,6 +12,7 @@
 use crate::chaos::ChaosConfig;
 use crate::json::{Json, JsonError};
 use crate::supervisor::{BreakerPolicy, RetryPolicy};
+use ft_toom_core::seq;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::{Bound, RangeBounds};
@@ -289,24 +290,28 @@ options! {
     /// (`min(bit_length(a), bit_length(b))`).
     ///
     /// Defaults follow the crossover points measured by the
-    /// `tune_thresholds` sweep against the scratch-arena limb kernels:
-    /// schoolbook only wins below ~2 kbit (the in-place Karatsuba base case
-    /// takes over early), and sequential Toom-Cook carries to
-    /// multi-megabit sizes on the 2-core host of BENCH_kernels.json. Hosts
-    /// with more cores should lower `seq_toom_max_bits` to wherever their
-    /// fork-join overhead amortizes.
+    /// `tune_thresholds` and `kernel_baseline` sweeps against the
+    /// scratch-arena limb kernels: schoolbook only wins below ~2 kbit (the
+    /// in-place Karatsuba base case takes over early), sequential
+    /// Toom-Cook carries to 1 Mbit, and the two-prime NTT, one prime per
+    /// core, wins from there up on the 2-core host of BENCH_kernels.json.
+    /// Both Toom/NTT defaults derive from `ft_bigint::ntt::NTT_THRESHOLD_LIMBS`
+    /// (through `seq::NTT_MIN_BITS`), so the service and `auto_mul` agree.
+    /// The 1 Mbit edge also keeps every product at or below it on one
+    /// core, leaving the other to the small lane; lowering it trades that
+    /// lane's latency for bulk throughput.
     pub struct KernelPolicy {
         /// Requests at or below this size run schoolbook.
         pub schoolbook_max_bits: u64 = 2_048;
         /// Requests at or below this size (and above schoolbook) run
         /// sequential Toom-Cook.
-        pub seq_toom_max_bits: u64 = 4_000_000;
+        pub seq_toom_max_bits: u64 = seq::NTT_MIN_BITS;
         /// Requests *above* this size run the two-prime CRT NTT kernel
         /// (`ft_bigint::ntt`); requests between `seq_toom_max_bits` and here
-        /// run parallel Toom-Cook. The default is the 8 Mbit crossover the
-        /// `tune_thresholds` big-operand sweep measured (≥1.5× over Toom-3
-        /// there and above; see BENCH_kernels.json).
-        pub ntt_min_bits: u64 = 8_388_608;
+        /// run parallel Toom-Cook. The default leaves that band one bit
+        /// wide: parallel Toom wins at no size on the 2-core host (see
+        /// BENCH_kernels.json), and stays a rung for hosts that widen it.
+        pub ntt_min_bits: u64 = seq::NTT_MIN_BITS + 1;
         /// Split parameter for the sequential Toom-Cook kernel.
         pub seq_toom_k: usize = 3, 2..;
         /// Split parameter for the parallel Toom-Cook kernel.

@@ -13,14 +13,18 @@ pub enum Kernel {
     /// Sequential Toom-Cook (`seq::toom_with_plan`) — mid-size operands.
     SeqToom,
     /// Fork-join parallel Toom-Cook (`rayon_engine::par_toom_with_plan`)
-    /// — large operands.
+    /// — the band between `seq_toom_max_bits` and `ntt_min_bits`. The
+    /// NTT beats it at every measured size on the 2-core host, so the
+    /// default band is one bit wide; it stays the
+    /// [`Kernel::DistributedToom`] fallback.
     ParToom,
     /// Two-prime CRT NTT (`ft_bigint::ntt`) — the big-operand regime past
-    /// `KernelPolicy::ntt_min_bits`, where `Θ(n log n)` beats every Toom
-    /// split (≥1.5× over seq Toom at the default crossover; see
-    /// BENCH_kernels.json). Degrades to [`Kernel::SeqToom`] on breaker
-    /// trip: a structurally distinct algorithm, with no transform,
-    /// twiddle table or CRT step in common.
+    /// `KernelPolicy::ntt_min_bits` (1 Mbit by default), where `Θ(n log n)`
+    /// with one prime per core beats every Toom split (≥1.5× over seq and
+    /// parallel Toom at 2 Mbit; see BENCH_kernels.json). Each multiply
+    /// runs one scoped helper thread, joined before it returns. Degrades
+    /// to [`Kernel::SeqToom`] on breaker trip: a structurally distinct
+    /// algorithm, with no transform, twiddle table or CRT step in common.
     Ntt,
     /// The simulated coded machine (`ft-core`'s polynomial-coded parallel
     /// Toom-Cook with heartbeat failure detection). Never picked by

@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn ntt_boundary_moves_on_evidence_and_respects_band_ordering() {
-        // Default ntt_min_bits = 2^23. Class 24 (16M..32M) is NTT
+        // Default ntt_min_bits = 2^20 + 1. Class 24 (16M..32M) is NTT
         // territory; degraded-to-par-toom samples show par Toom is 4×
         // faster there → the NTT floor rises to annex the class.
         let policy = KernelPolicy::default();

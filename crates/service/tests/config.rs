@@ -24,7 +24,7 @@ fn every_option_changed() -> ShardConfig {
             plan_cache_capacity: 12,
             kernel_policy: KernelPolicy {
                 schoolbook_max_bits: 3_000,
-                seq_toom_max_bits: 3_000_000,
+                seq_toom_max_bits: 1_000_000,
                 ntt_min_bits: 9_000_000,
                 seq_toom_k: 4,
                 par_toom_k: 5,
@@ -102,8 +102,8 @@ const DEFAULT_SERVICE: &str = concat!(
     r#""enabled":false,"f":1,"fault_seed":0,"faulty_attempts":1,"hard_faults_per_run":0,"#,
     r#""heartbeat_period":1,"k":2,"max_bits":4000000,"min_bits":2048,"min_group":2,"#,
     r#""recursion_detect":false,"straggler_factor":0},"#,
-    r#""kernel_policy":{"ntt_min_bits":8388608,"par_depth":2,"par_toom_k":3,"#,
-    r#""schoolbook_max_bits":2048,"seq_toom_k":3,"seq_toom_max_bits":4000000,"#,
+    r#""kernel_policy":{"ntt_min_bits":1048577,"par_depth":2,"par_toom_k":3,"#,
+    r#""schoolbook_max_bits":2048,"seq_toom_k":3,"seq_toom_max_bits":1048576,"#,
     r#""toom_threshold_bits":24576},"#,
     r#""plan_cache_capacity":8,"#,
     r#""retry":{"backoff_base_ms":1,"backoff_max_ms":64,"max_retries":3},"#,
@@ -126,7 +126,7 @@ const CHANGED_SERVICE: &str = concat!(
     r#""heartbeat_period":5,"k":3,"max_bits":65536,"min_bits":4096,"min_group":3,"#,
     r#""recursion_detect":true,"straggler_factor":4},"#,
     r#""kernel_policy":{"ntt_min_bits":9000000,"par_depth":3,"par_toom_k":5,"#,
-    r#""schoolbook_max_bits":3000,"seq_toom_k":4,"seq_toom_max_bits":3000000,"#,
+    r#""schoolbook_max_bits":3000,"seq_toom_k":4,"seq_toom_max_bits":1000000,"#,
     r#""toom_threshold_bits":20000},"#,
     r#""plan_cache_capacity":12,"#,
     r#""retry":{"backoff_base_ms":2,"backoff_max_ms":32,"max_retries":5},"#,

@@ -1,5 +1,7 @@
 //! Thread budget of a running service: exactly its two lane threads, plus
-//! the tuner when it is enabled, and no thread spawned per batch.
+//! the tuner when it is enabled, and no thread spawned per batch. A
+//! product served by the NTT starts one scoped helper thread, which is
+//! joined before the product resolves.
 //!
 //! Lives in its own integration-test binary, with a single test, so the
 //! process's thread list — read from `/proc/self/task` — is not polluted
@@ -7,6 +9,7 @@
 
 use ft_bigint::BigInt;
 use ft_service::{MulService, ServiceConfig, TunerConfig};
+use ft_toom_core::seq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -52,6 +55,13 @@ fn settle(before: &BTreeMap<u64, String>, done: impl Fn(&[String]) -> bool) -> V
 
 #[test]
 fn a_service_runs_two_lane_threads_and_spawns_none_per_batch() {
+    // A 2 Mbit pair: past the default NTT crossover.
+    let mut rng = StdRng::seed_from_u64(7);
+    let big = (
+        BigInt::random_signed_bits(&mut rng, 2_000_000),
+        BigInt::random_signed_bits(&mut rng, 2_000_000),
+    );
+    let big_want = seq::toom_k(&big.0, &big.1, 3);
     for tuner in [false, true] {
         let before = threads();
         let service = MulService::start(ServiceConfig {
@@ -102,8 +112,15 @@ fn a_service_runs_two_lane_threads_and_spawns_none_per_batch() {
         for (result, want) in results.into_iter().zip(want) {
             assert_eq!(result.unwrap(), want);
         }
+
+        // The NTT convolves its second prime on a scoped helper thread;
+        // once the product resolves, that helper must be gone.
+        let product = service.submit(big.0.clone(), big.1.clone()).unwrap();
+        assert_eq!(product.wait().unwrap(), big_want);
+        let extra = settle(&running, <[String]>::is_empty);
+        assert!(extra.is_empty(), "the NTT left threads behind: {extra:?}");
         let snap = service.shutdown();
-        assert_eq!(snap.batches, 1, "one coalesced group");
+        assert_eq!(snap.batches, 2, "one coalesced group, one NTT pair");
         assert_eq!(snap.batch_size_high_water, 32);
         let left = settle(&before, <[String]>::is_empty);
         assert!(left.is_empty(), "shutdown left threads behind: {left:?}");
