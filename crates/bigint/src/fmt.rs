@@ -1,8 +1,26 @@
-//! Parsing and formatting: decimal `Display`/`FromStr`, `LowerHex`, `Debug`.
+//! Text codecs: hexadecimal and binary, decimal, and `Debug`.
+//!
+//! Hex is the wire format of the HTTP front door, so its codec works on
+//! limbs and bytes directly:
+//!
+//! * [`BigInt::write_hex`] appends `0x…` to a caller's byte buffer through
+//!   a byte → two-digit table, reserving the space once. [`BigInt::to_hex`]
+//!   and `LowerHex` go through it.
+//! * [`BigInt::from_str_radix`] with radix 16 or 2 packs digits into limbs
+//!   in one pass from the low end, through a digit table, and allocates
+//!   only the magnitude. The first invalid char is found by a second scan,
+//!   on the error path only.
+//!
+//! Decimal text is parsed by splitting it at `19·2^j` digits and combining
+//! the halves with [`BigInt::mul_auto`], so its cost follows the multiply
+//! kernels rather than the square of the length; below about 600 digits
+//! the chunk loop `mag·10^19 + chunk` does it. `Display` peels 19
+//! decimal digits per limb division.
 
 use crate::bigint::{BigInt, Sign};
 use crate::ops;
 use crate::Limb;
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -10,6 +28,41 @@ use std::str::FromStr;
 /// of 19 decimal digits per limb-division.
 const TEN19: Limb = 10_000_000_000_000_000_000;
 const TEN19_DIGITS: usize = 19;
+
+/// Decimal strings up to this many digits (32 chunks of 19) are parsed by
+/// the chunk loop, whose limb work grows with the square of the length;
+/// longer ones are split in two.
+const DEC_SPLIT_DIGITS: usize = 32 * TEN19_DIGITS;
+
+/// `HEX_PAIRS[b]` is byte `b` as two lowercase hex digits.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [digits[b >> 4], digits[b & 15]];
+        b += 1;
+    }
+    table
+};
+
+/// `DIGITS[b]` is the value of ASCII byte `b` as a digit of radix ≤ 16
+/// (`0–9`, `a–f`, `A–F`), or `u8::MAX` for every other byte.
+const DIGITS: [u8; 256] = {
+    let mut table = [u8::MAX; 256];
+    let mut d = 0;
+    while d < 10 {
+        table[b'0' as usize + d] = d as u8;
+        d += 1;
+    }
+    let mut d = 0;
+    while d < 6 {
+        table[b'a' as usize + d] = 10 + d as u8;
+        table[b'A' as usize + d] = 10 + d as u8;
+        d += 1;
+    }
+    table
+};
 
 /// Error parsing a [`BigInt`] from a string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +87,108 @@ impl fmt::Display for ParseBigIntError {
 
 impl std::error::Error for ParseBigIntError {}
 
+const EMPTY: ParseBigIntError = ParseBigIntError {
+    kind: ParseErrorKind::Empty,
+};
+
+/// The error naming the first char of `body` that is neither `_` nor a
+/// digit of `radix`. Only the error path pays for this second scan.
+fn invalid_digit(body: &str, radix: u32) -> ParseBigIntError {
+    let c = body
+        .chars()
+        .find(|&c| c != '_' && !c.is_digit(radix))
+        .expect("the caller saw a byte that is neither `_` nor a digit");
+    ParseBigIntError {
+        kind: ParseErrorKind::InvalidDigit(c),
+    }
+}
+
+/// Radix-`2^bits` digits (most significant first, `_` skipped) packed into
+/// little-endian limbs in one pass from the low end. The limb vector is
+/// sized from the text length up front, so it is the only allocation.
+fn pow2_limbs(body: &str, radix: u32) -> Result<Vec<Limb>, ParseBigIntError> {
+    let bits = radix.trailing_zeros();
+    let bytes = body.as_bytes();
+    let mut mag = Vec::with_capacity(bytes.len().div_ceil((Limb::BITS / bits) as usize));
+    let (mut limb, mut shift): (Limb, u32) = (0, 0);
+    for &b in bytes.iter().rev() {
+        let d = DIGITS[usize::from(b)];
+        if u32::from(d) >= radix {
+            if b == b'_' {
+                continue;
+            }
+            return Err(invalid_digit(body, radix));
+        }
+        limb |= Limb::from(d) << shift;
+        shift += bits;
+        if shift == Limb::BITS {
+            mag.push(limb);
+            (limb, shift) = (0, 0);
+        }
+    }
+    if shift > 0 {
+        mag.push(limb);
+    }
+    Ok(mag)
+}
+
+/// The magnitude of the decimal digits `digits` (ASCII `0–9`, most
+/// significant first). Up to [`DEC_SPLIT_DIGITS`] it runs the chunk loop;
+/// above, it splits off the low `19·2^j` digits, the largest such count
+/// below the length, and returns `high·10^(19·2^j) + low`. `powers[j]`
+/// caches `10^(19·2^j)` for the whole parse, each built by squaring the
+/// one before.
+fn decimal_limbs(digits: &[u8], powers: &mut Vec<BigInt>) -> Vec<Limb> {
+    if digits.len() <= DEC_SPLIT_DIGITS {
+        let mut mag = Vec::with_capacity(digits.len() / TEN19_DIGITS + 1);
+        for chunk in digits.chunks(TEN19_DIGITS) {
+            let value = chunk
+                .iter()
+                .fold(0, |acc, &d| acc * 10 + Limb::from(d - b'0'));
+            ops::mul_limb_assign(&mut mag, 10u64.pow(chunk.len() as u32));
+            ops::add_assign_slices(&mut mag, &[value]);
+        }
+        return mag;
+    }
+    let mut j = 0;
+    while TEN19_DIGITS << (j + 1) < digits.len() {
+        j += 1;
+    }
+    while powers.len() <= j {
+        let next = match powers.last() {
+            Some(p) => p.mul_auto(p),
+            None => BigInt::from(TEN19),
+        };
+        powers.push(next);
+    }
+    let (high, low) = digits.split_at(digits.len() - (TEN19_DIGITS << j));
+    let high = BigInt::from_limbs(decimal_limbs(high, powers));
+    let mut mag = high.mul_auto(&powers[j]).into_limbs();
+    ops::add_assign_slices(&mut mag, &decimal_limbs(low, powers));
+    mag
+}
+
+/// `limb` as 16 lowercase hex digits.
+#[inline]
+fn limb_hex(limb: Limb) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (pair, byte) in out.chunks_exact_mut(2).zip(limb.to_be_bytes()) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+    }
+    out
+}
+
+/// Append the magnitude `mag` (normalized, non-empty) as lowercase hex
+/// digits without leading zeros. The caller has reserved the space.
+fn push_hex_digits(mag: &[Limb], out: &mut Vec<u8>) {
+    let (&top, rest) = mag.split_last().expect("a non-zero magnitude");
+    let top_digits = (Limb::BITS - top.leading_zeros()).div_ceil(4) as usize;
+    out.extend_from_slice(&limb_hex(top)[16 - top_digits..]);
+    for &limb in rest.iter().rev() {
+        out.extend_from_slice(&limb_hex(limb));
+    }
+}
+
 impl BigInt {
     /// Parse from a string in the given radix (supported: 2, 10, 16), with
     /// optional leading `-`/`+` and `_` separators.
@@ -48,86 +203,30 @@ impl BigInt {
             None => (Sign::Positive, s.strip_prefix('+').unwrap_or(s)),
         };
         if body.is_empty() {
-            return Err(ParseBigIntError {
-                kind: ParseErrorKind::Empty,
-            });
+            return Err(EMPTY);
         }
-        let mut mag: Vec<Limb> = Vec::new();
-        match radix {
-            10 => {
-                let mut chunk: Limb = 0;
-                let mut chunk_len = 0usize;
-                let mut seen = false;
-                let flush = |mag: &mut Vec<Limb>, chunk: Limb, chunk_len: usize| {
-                    let scale = 10u64.pow(chunk_len as u32);
-                    let mut m = ops::mul_limb(mag, scale);
-                    m = ops::add_slices(&m, &[chunk]);
-                    *mag = m;
-                };
-                for c in body.chars() {
-                    if c == '_' {
-                        continue;
-                    }
-                    let d = c.to_digit(10).ok_or(ParseBigIntError {
-                        kind: ParseErrorKind::InvalidDigit(c),
-                    })?;
-                    seen = true;
-                    chunk = chunk * 10 + d as Limb;
-                    chunk_len += 1;
-                    if chunk_len == TEN19_DIGITS {
-                        flush(&mut mag, chunk, chunk_len);
-                        chunk = 0;
-                        chunk_len = 0;
-                    }
-                }
-                if !seen {
-                    return Err(ParseBigIntError {
-                        kind: ParseErrorKind::Empty,
-                    });
-                }
-                if chunk_len > 0 {
-                    flush(&mut mag, chunk, chunk_len);
-                }
+        let mag = if radix == 10 {
+            if body.bytes().any(|b| !b.is_ascii_digit() && b != b'_') {
+                return Err(invalid_digit(body, radix));
             }
-            16 | 2 => {
-                // Power-of-two digits map straight to bit positions, so the
-                // magnitude assembles in one linear pass over the text — no
-                // per-digit bignum shift (which would be quadratic and
-                // dominates request parsing for megabit operands).
-                let bits_per = if radix == 16 { 4u32 } else { 1 };
-                let mut digits: Vec<u8> = Vec::with_capacity(body.len());
-                for c in body.chars() {
-                    if c == '_' {
-                        continue;
-                    }
-                    let d = c.to_digit(radix).ok_or(ParseBigIntError {
-                        kind: ParseErrorKind::InvalidDigit(c),
-                    })?;
-                    digits.push(d as u8);
-                }
-                if digits.is_empty() {
-                    return Err(ParseBigIntError {
-                        kind: ParseErrorKind::Empty,
-                    });
-                }
-                // Digits are most-significant-first; `rchunks` walks groups
-                // from the low end, yielding little-endian limbs directly.
-                let per_limb = (Limb::BITS / bits_per) as usize;
-                mag = digits
-                    .rchunks(per_limb)
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .fold(0 as Limb, |acc, &d| (acc << bits_per) | Limb::from(d))
-                    })
-                    .collect();
+            let digits: Cow<[u8]> = if body.contains('_') {
+                body.bytes().filter(|&b| b != b'_').collect()
+            } else {
+                body.as_bytes().into()
+            };
+            if digits.is_empty() {
+                return Err(EMPTY);
             }
-            _ => unreachable!(),
-        }
-        Ok(BigInt::from_sign_limbs(
-            if mag.is_empty() { Sign::Zero } else { sign },
-            mag,
-        ))
+            decimal_limbs(&digits, &mut Vec::new())
+        } else {
+            let mag = pow2_limbs(body, radix)?;
+            if mag.is_empty() {
+                return Err(EMPTY);
+            }
+            mag
+        };
+        // A zero magnitude (`-000`) normalizes to zero whatever the sign.
+        Ok(BigInt::from_sign_limbs(sign, mag))
     }
 
     /// Decimal string (same as `Display`).
@@ -136,10 +235,28 @@ impl BigInt {
         format!("{self}")
     }
 
-    /// Lowercase hexadecimal string with sign and `0x` prefix.
+    /// Lowercase hexadecimal string with sign and `0x` prefix: the text
+    /// [`BigInt::write_hex`] appends, in a string of its own.
     #[must_use]
     pub fn to_hex(&self) -> String {
-        format!("{self:#x}")
+        let mut out = Vec::new();
+        self.write_hex(&mut out);
+        String::from_utf8(out).expect("hex text is ASCII")
+    }
+
+    /// Append [`BigInt::to_hex`]'s text — `0x…` or `-0x…`, lowercase, no
+    /// leading zeros, `0x0` for zero — to `out`, reserving the space once.
+    pub fn write_hex(&self, out: &mut Vec<u8>) {
+        if self.is_zero() {
+            out.extend_from_slice(b"0x0");
+            return;
+        }
+        out.reserve(3 + 16 * self.mag.len());
+        if self.sign == Sign::Negative {
+            out.push(b'-');
+        }
+        out.extend_from_slice(b"0x");
+        push_hex_digits(&self.mag, out);
     }
 }
 
@@ -170,11 +287,10 @@ impl fmt::LowerHex for BigInt {
         if self.is_zero() {
             return f.pad_integral(true, "0x", "0");
         }
-        let mut s = format!("{:x}", self.mag.last().unwrap());
-        for l in self.mag.iter().rev().skip(1) {
-            s.push_str(&format!("{l:016x}"));
-        }
-        f.pad_integral(self.sign != Sign::Negative, "0x", &s)
+        let mut digits = Vec::with_capacity(16 * self.mag.len());
+        push_hex_digits(&self.mag, &mut digits);
+        let digits = std::str::from_utf8(&digits).expect("hex digits are ASCII");
+        f.pad_integral(self.sign != Sign::Negative, "0x", digits)
     }
 }
 

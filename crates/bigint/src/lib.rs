@@ -1,10 +1,19 @@
 //! # ft-bigint — arbitrary-precision signed integers, from scratch
 //!
 //! This crate is the arithmetic substrate for the fault-tolerant parallel
-//! Toom-Cook reproduction. It deliberately implements **only schoolbook
-//! multiplication** (`Θ(n²)`): the fast algorithms live in `ft-toom-core`
-//! and are benchmarked *against* this baseline, exactly as the paper
-//! compares Toom-Cook against naïve multiplication.
+//! Toom-Cook reproduction. It holds the sequential multiply kernels that
+//! the Toom-Cook algorithms of `ft-toom-core` are measured against and
+//! recurse into:
+//!
+//! * schoolbook (`Θ(n²)`, the paper's naïve baseline) and its halved
+//!   squaring;
+//! * Karatsuba and Karatsuba squaring over a scratch arena ([`kernels`],
+//!   [`workspace`]);
+//! * the two-prime NTT for operands from 1 Mbit ([`ntt`]).
+//!
+//! [`BigInt::mul_auto`] picks among them by size. The crate also holds
+//! division, gcd, modular and Montgomery arithmetic, and the text codecs
+//! ([`fmt`]): the hex codec is the wire format of the HTTP front door.
 //!
 //! Representation: sign-magnitude, little-endian `u64` limbs, normalized
 //! (no trailing zero limbs; the empty magnitude is zero).

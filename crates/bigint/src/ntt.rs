@@ -654,10 +654,9 @@ mod tests {
         (fwd, inv)
     }
 
-    #[test]
-    fn tables_match_the_direct_construction() {
+    fn assert_tables_match_the_direct_construction(log_lens: std::ops::RangeInclusive<u32>) {
         for prime in 0..2 {
-            for n in [2usize, 4, 256, 1 << 16] {
+            for n in log_lens.clone().map(|log_n| 1usize << log_n) {
                 let built = PrimeTables::build(prime, n);
                 let (fwd, inv) = direct_tables(prime, n);
                 // Entry 0 belongs to no segment.
@@ -665,6 +664,20 @@ mod tests {
                 assert_eq!(built.inv[1..], inv[1..], "prime {prime} size {n}");
             }
         }
+    }
+
+    #[test]
+    fn tables_match_the_direct_construction() {
+        assert_tables_match_the_direct_construction(1..=16);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "2^20-entry tables by division: release-only (slow in debug)"
+    )]
+    fn tables_match_the_direct_construction_at_2_20() {
+        assert_tables_match_the_direct_construction(20..=20);
     }
 
     /// Textbook radix-2 transform: bit-reverse, then Cooley–Tukey stages

@@ -2,7 +2,8 @@
 //! round-trips — checked against both `i128` reference semantics and
 //! self-consistency on arbitrarily large values.
 
-use ft_bigint::{BigInt, Sign};
+use ft_bigint::{ops, BigInt, Sign};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Arbitrary signed big integer up to ~4 limbs.
@@ -32,6 +33,96 @@ fn bigint_wide() -> impl Strategy<Value = BigInt> {
                 v
             }
         })
+}
+
+/// `limbs` as a magnitude with a random sign.
+fn signed(limbs: impl Strategy<Value = Vec<u64>>) -> impl Strategy<Value = BigInt> {
+    (limbs, any::<bool>()).prop_map(|(limbs, neg)| {
+        let v = BigInt::from_limbs(limbs);
+        if neg {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
+/// Chars for arbitrary parser input, digits weighted up.
+const ALPHABET: &str = "010101278899afAFcE__-+ gGxz.\t\u{e9}\u{1F600}\u{663}\u{ff10}";
+
+/// The parser as it was before the table-driven codec, kept as the
+/// reference: `chars()` and `to_digit` into a digit vector, then a
+/// `rchunks` fold for radix 2 and 16 and the quadratic `mag·10^k + chunk`
+/// loop for radix 10. Errors are compared by their `Display` text.
+fn reference_parse(s: &str, radix: u32) -> Result<BigInt, String> {
+    let s = s.trim();
+    let (neg, body) = match s.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, s.strip_prefix('+').unwrap_or(s)),
+    };
+    let empty = || "empty string is not a valid integer".to_string();
+    if body.is_empty() {
+        return Err(empty());
+    }
+    let mut digits = Vec::new();
+    for c in body.chars().filter(|&c| c != '_') {
+        let d = c
+            .to_digit(radix)
+            .ok_or_else(|| format!("invalid digit {c:?}"))?;
+        digits.push(u64::from(d));
+    }
+    if digits.is_empty() {
+        return Err(empty());
+    }
+    let mag = if radix == 10 {
+        let mut mag = Vec::new();
+        for chunk in digits.chunks(19) {
+            let value = chunk.iter().fold(0, |acc, &d| acc * 10 + d);
+            let scaled = ops::mul_limb(&mag, 10u64.pow(chunk.len() as u32));
+            mag = ops::add_slices(&scaled, &[value]);
+        }
+        mag
+    } else {
+        let bits = radix.trailing_zeros();
+        digits
+            .rchunks((64 / bits) as usize)
+            .map(|chunk| chunk.iter().fold(0, |acc, &d| (acc << bits) | d))
+            .collect()
+    };
+    let v = BigInt::from_limbs(mag);
+    Ok(if neg { -v } else { v })
+}
+
+/// `to_hex` as it was before the table-driven codec: one `format!` per
+/// limb.
+fn reference_hex(a: &BigInt) -> String {
+    let Some((top, rest)) = a.limbs().split_last() else {
+        return "0x0".to_string();
+    };
+    let mut s = format!("{}0x{top:x}", if a.is_negative() { "-" } else { "" });
+    for limb in rest.iter().rev() {
+        s.push_str(&format!("{limb:016x}"));
+    }
+    s
+}
+
+/// Word-op budget for parsing 200,000 decimal digits (10,381 limbs). The
+/// split parse reads 15.1M; the chunk loop alone, 109M.
+const DECIMAL_PARSE_BUDGET: u64 = 30_000_000;
+
+#[test]
+fn decimal_parse_cost_is_subquadratic() {
+    let digits: String = (0..200_000u64)
+        .map(|i| char::from(b'0' + ((i * 7 + i / 13) % 10) as u8))
+        .collect();
+    let (fast, ops) = ft_bigint::metrics::measure(|| BigInt::from_str_radix(&digits, 10));
+    let (slow, slow_ops) = ft_bigint::metrics::measure(|| reference_parse(&digits, 10));
+    assert_eq!(fast.map_err(|e| e.to_string()), slow);
+    assert!(ops < DECIMAL_PARSE_BUDGET, "split parse: {ops} word ops");
+    assert!(
+        slow_ops > DECIMAL_PARSE_BUDGET,
+        "chunk loop: {slow_ops} word ops"
+    );
 }
 
 proptest! {
@@ -97,15 +188,85 @@ proptest! {
     }
 
     #[test]
-    fn decimal_roundtrip(a in bigint_wide()) {
+    fn decimal_roundtrip(
+        a in signed(vec(any::<u64>(), 0..160)),
+        zeros in 0usize..700,
+        separator in 0usize..2_000,
+    ) {
+        // Up to ~3,000 digits, so most cases cross the split size, and up
+        // to 700 leading zeros, so some split off an all-zero high part.
         let s = a.to_string();
-        prop_assert_eq!(s.parse::<BigInt>().unwrap(), a);
+        prop_assert_eq!(s.parse::<BigInt>().unwrap(), a.clone());
+        let (sign, digits) = s.split_at(usize::from(a.is_negative()));
+        let mut text = format!("{sign}{}{digits}", "0".repeat(zeros));
+        text.insert(sign.len() + separator % (text.len() - sign.len() + 1), '_');
+        prop_assert_eq!(BigInt::from_str_radix(&text, 10), Ok(a.clone()));
+        prop_assert_eq!(reference_parse(&text, 10), Ok(a));
     }
 
     #[test]
-    fn hex_roundtrip(a in bigint_wide()) {
-        let s = a.to_hex();
-        prop_assert_eq!(s.parse::<BigInt>().unwrap(), a);
+    fn hex_roundtrip(
+        limbs in vec(any::<u64>(), 0..16),
+        top_shift in 0u32..64,
+        neg in any::<bool>(),
+        style in any::<u64>(),
+        zeros in 0usize..20,
+    ) {
+        // Shifting the top limb leaves it with leading zero nibbles and
+        // the text with every digit count, odd ones included.
+        let mut limbs = limbs;
+        if let Some(top) = limbs.last_mut() {
+            *top >>= top_shift;
+        }
+        let magnitude = BigInt::from_limbs(limbs);
+        let a = if neg { -&magnitude } else { magnitude };
+        let hex = a.to_hex();
+        prop_assert_eq!(&hex, &reference_hex(&a));
+        let mut appended = b"{\"product\":\"".to_vec();
+        a.write_hex(&mut appended);
+        prop_assert_eq!(&appended[12..], hex.as_bytes());
+        prop_assert_eq!(format!("{a:#x}"), hex.clone());
+        prop_assert_eq!(format!("{a:x}"), hex.replacen("0x", "", 1));
+        prop_assert_eq!(hex.parse::<BigInt>().unwrap(), a.clone());
+
+        // The same value in the spellings the parser accepts: `+`,
+        // leading zeros, upper case, `_` anywhere, surrounding space.
+        let digits = hex.trim_start_matches('-').trim_start_matches("0x");
+        let mut bits = style | 1;
+        let mut next = || {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            bits
+        };
+        let mut text = String::from(if neg { "-" } else if style & 1 == 0 { "+" } else { "" });
+        for c in "0".repeat(zeros).chars().chain(digits.chars()) {
+            let r = next();
+            if r & 3 == 0 {
+                text.push('_');
+            }
+            text.push(if r & 4 == 0 { c.to_ascii_uppercase() } else { c });
+        }
+        if style & 2 == 0 {
+            text = format!(" {text}_\n");
+        }
+        prop_assert_eq!(BigInt::from_str_radix(&text, 16), Ok(a.clone()));
+        prop_assert_eq!(reference_parse(&text, 16), Ok(a));
+    }
+
+    #[test]
+    fn parsers_match_the_reference_on_any_text(
+        picks in vec(0usize..ALPHABET.chars().count(), 0..48),
+        radix in 0usize..3,
+    ) {
+        // Mostly digits of every radix, with `_`, signs, space, bytes no
+        // radix accepts and non-ASCII chars mixed in: empty and `_`-only
+        // bodies, a bad char anywhere, and long valid runs.
+        let radix = [2, 10, 16][radix];
+        let alphabet: Vec<char> = ALPHABET.chars().collect();
+        let text: String = picks.iter().map(|&i| alphabet[i]).collect();
+        let got = BigInt::from_str_radix(&text, radix).map_err(|e| e.to_string());
+        prop_assert_eq!(got, reference_parse(&text, radix), "{:?} radix {}", text, radix);
     }
 
     #[test]

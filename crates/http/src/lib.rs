@@ -35,6 +35,7 @@ use ft_service::{
     SubmitError,
 };
 use metrics::{HttpMetrics, Route};
+use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -269,6 +270,9 @@ fn handle_mul(
         Ok(d) => d,
         Err(detail) => return send_error(rsp, 400, "bad_deadline", &detail).map(|()| 400),
     };
+    // Free the operands' text before the multiply instead of holding it
+    // beside the limbs, the product and the response body.
+    drop(doc);
     let submitted = match deadline {
         Some(d) => state.router.submit_with_deadline(a, b, d),
         None => state.router.submit(a, b),
@@ -279,12 +283,31 @@ fn handle_mul(
     };
     match handle.wait() {
         Ok(product) => {
-            let body = obj([("product", Json::Str(product.to_hex()))]).dump();
-            rsp.send(200, "application/json", body.as_bytes())?;
+            let mut body = Vec::new();
+            write_product(&mut body, &product, None);
+            // ft-net copies the body behind the head; free the limbs first.
+            drop(product);
+            rsp.send(200, "application/json", &body)?;
             Ok(200)
         }
         Err(e) => send_mul_error(rsp, &e),
     }
+}
+
+/// Append `{"product":"0x…"}`, or with a slot the batch line
+/// `{"product":"0x…","slot":N}`, to `out`: the bytes `obj(…).dump()`
+/// writes for the same fields (keys in sorted order), with the hex
+/// written straight into `out`, which is sized once for the whole line.
+fn write_product(out: &mut Vec<u8>, product: &BigInt, slot: Option<usize>) {
+    // Both keys, the quotes, `-0x`, 20 slot digits and a newline fit in 48.
+    out.reserve(48 + 16 * product.word_len());
+    out.extend_from_slice(b"{\"product\":\"");
+    product.write_hex(out);
+    out.push(b'"');
+    if let Some(slot) = slot {
+        write!(out, ",\"slot\":{slot}").expect("writing to a Vec cannot fail");
+    }
+    out.push(b'}');
 }
 
 /// `POST /v1/mul/batch` — body
@@ -329,6 +352,7 @@ fn handle_batch(
         Ok(d) => d,
         Err(detail) => return send_error(rsp, 400, "bad_deadline", &detail).map(|()| 400),
     };
+    drop(doc);
     let submitted = match deadline {
         Some(d) => state.router.submit_many_with_deadline(pairs, d),
         None => state.router.submit_many(pairs),
@@ -338,24 +362,23 @@ fn handle_batch(
         Err(e) => return send_submit_error(state, rsp, &e),
     };
     let mut stream = rsp.start_chunked(200, &[("Content-Type", "application/x-ndjson")])?;
+    let mut line = Vec::new();
     for (slot, result) in handle.into_iter().enumerate() {
-        let line = match result {
-            Ok(product) => obj([
-                ("slot", Json::Num(slot as i128)),
-                ("product", Json::Str(product.to_hex())),
-            ]),
+        line.clear();
+        match result {
+            Ok(product) => write_product(&mut line, &product, Some(slot)),
             Err(e) => {
                 let (code, _) = mul_error_code(&e);
-                obj([
+                let error = obj([
                     ("slot", Json::Num(slot as i128)),
                     ("error", Json::Str(code.to_string())),
                     ("detail", Json::Str(e.to_string())),
-                ])
+                ]);
+                line.extend_from_slice(error.dump().as_bytes());
             }
-        };
-        let mut bytes = line.dump().into_bytes();
-        bytes.push(b'\n');
-        stream.chunk(&bytes)?;
+        }
+        line.push(b'\n');
+        stream.chunk(&line)?;
         state.http_metrics.record_streamed();
     }
     stream.finish()?;

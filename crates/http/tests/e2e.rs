@@ -9,7 +9,7 @@ mod common;
 use ft_bigint::BigInt;
 use ft_http::client::Client;
 use ft_http::{HttpConfig, HttpServer};
-use ft_service::json::Json;
+use ft_service::json::{obj, Json};
 use ft_service::ServiceConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,6 +156,103 @@ fn mixed_traffic_over_one_keep_alive_connection() {
     let (final_metrics, leftover) = server.shutdown();
     assert_eq!(leftover, 0, "graceful drain");
     assert!(final_metrics.served >= served);
+}
+
+/// `x` as `0x…` hex text with one `format!` per limb, independent of the
+/// codec the server writes with.
+fn per_limb_hex(x: &BigInt) -> String {
+    let Some((top, rest)) = x.limbs().split_last() else {
+        return "0x0".to_string();
+    };
+    let sign = if x.is_negative() { "-" } else { "" };
+    let mut s = format!("{sign}0x{top:x}");
+    for limb in rest.iter().rev() {
+        s.push_str(&format!("{limb:016x}"));
+    }
+    s
+}
+
+#[test]
+fn product_bodies_match_the_json_writer_byte_for_byte() {
+    let server = start_server();
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(77);
+    let two_limbs = BigInt::from_limbs(vec![1, 1]);
+    let pairs = [
+        (BigInt::zero(), BigInt::from(123_456_789u64)),
+        (BigInt::from(-5i64), BigInt::from(7u64)),
+        (BigInt::from(-1i64), BigInt::from(-1i64)),
+        // A top limb with leading zero nibbles, and a negative one.
+        (two_limbs.clone(), BigInt::from(0xabcu64)),
+        (-&two_limbs, BigInt::from_limbs(vec![u64::MAX, u64::MAX, 3])),
+        (
+            BigInt::random_signed_bits(&mut rng, 3_000),
+            BigInt::random_signed_bits(&mut rng, 2_001),
+        ),
+    ];
+    for (a, b) in &pairs {
+        let product = a.mul_schoolbook(b);
+        let rsp = client
+            .request("POST", "/v1/mul", Some(mul_body(a, b).as_bytes()))
+            .unwrap();
+        assert_eq!(rsp.status, 200, "{}", rsp.text());
+        let want = obj([("product", Json::Str(per_limb_hex(&product)))]).dump();
+        assert_eq!(rsp.text(), want);
+    }
+
+    // Every NDJSON success line, through the decoded chunked body.
+    let body = format!(
+        r#"{{"pairs": [{}]}}"#,
+        pairs
+            .iter()
+            .map(|(a, b)| format!(r#"["{}", "{}"]"#, a.to_hex(), b.to_hex()))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let rsp = client
+        .request("POST", "/v1/mul/batch", Some(body.as_bytes()))
+        .unwrap();
+    assert_eq!(rsp.status, 200);
+    let want: String = pairs
+        .iter()
+        .enumerate()
+        .map(|(slot, (a, b))| {
+            let product = per_limb_hex(&a.mul_schoolbook(b));
+            let line = obj([
+                ("slot", Json::Num(slot as i128)),
+                ("product", Json::Str(product)),
+            ]);
+            line.dump() + "\n"
+        })
+        .collect();
+    assert_eq!(rsp.text(), want);
+
+    // Per-element error lines: the detail names the time waited, so each
+    // line is pinned to the writer's form of its own parsed fields.
+    let rsp = client
+        .request(
+            "POST",
+            "/v1/mul/batch",
+            Some(br#"{"pairs": [["0x5", "0x7"], ["0x9", "-0xb"]], "deadline_ms": 0}"#),
+        )
+        .unwrap();
+    assert_eq!(rsp.status, 200);
+    let text = rsp.text();
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    for (slot, line) in lines.iter().enumerate() {
+        let doc = Json::parse(line).expect("error line JSON");
+        assert_eq!(doc.dump() + "\n", *line);
+        assert_eq!(doc.get("slot").and_then(Json::as_u64), Some(slot as u64));
+        assert_eq!(
+            doc.get("error"),
+            Some(&Json::Str("deadline_exceeded".to_string()))
+        );
+        assert!(matches!(doc.get("detail"), Some(Json::Str(_))));
+    }
+
+    let (_, leftover) = server.shutdown();
+    assert_eq!(leftover, 0);
 }
 
 #[test]

@@ -41,6 +41,7 @@ impl Json {
     /// Parse one JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -139,25 +140,36 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// Write `s` as a JSON string. Each run of bytes that needs no escape is
+/// copied with one `push_str`; the escaped bytes are all ASCII, so every
+/// run ends on a char boundary.
 fn write_escaped(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -265,14 +277,30 @@ impl Parser<'_> {
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
+        // The next `"` at or after `pos`, searched for again only once an
+        // escaped `\"` steps past it, so every byte is searched once.
+        let mut quote = 0;
         loop {
+            if quote < self.pos {
+                quote = self.text[self.pos..]
+                    .find('"')
+                    .map_or(self.text.len(), |i| self.pos + i);
+            }
+            // Copy the run up to the first `\` before that `"` in one
+            // append. Both are ASCII, so the run is a `str` slice of the
+            // (already valid) input.
+            let run = &self.text[self.pos..quote];
+            let run = &run[..run.find('\\').unwrap_or(run.len())];
+            out.push_str(run);
+            self.pos += run.len();
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The `\` the run stopped at.
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -295,21 +323,6 @@ impl Parser<'_> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                Some(_) => {
-                    // Copy the maximal unescaped run in one append; the
-                    // delimiters are ASCII, so the run ends on a UTF-8
-                    // character boundary of the (already valid) input.
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(run);
                 }
             }
         }
@@ -370,6 +383,82 @@ mod tests {
         assert_eq!(Json::Num(1).as_bool(), None);
         let again = Json::parse(&v.dump()).unwrap();
         assert_eq!(v, again);
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_control_bytes_only() {
+        let text = "0x1f\"q\\b\nn\tt\rr\u{1}\u{1f} é😀\u{7f}";
+        let dumped = Json::Str(text.to_string()).dump();
+        assert_eq!(
+            dumped,
+            "\"0x1f\\\"q\\\\b\\nn\\tt\\rr\\u0001\\u001f é😀\u{7f}\""
+        );
+        assert_eq!(Json::parse(&dumped), Ok(Json::Str(text.to_string())));
+
+        // Escapes and multi-byte chars at the start, inside and at the end
+        // of runs, checked against the char-at-a-time writer.
+        let reference = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let body: String = (0..200)
+            .map(|i| match i % 61 {
+                0 => '"',
+                7 => '\n',
+                13 => '\\',
+                29 => '\u{2}',
+                40 => 'é',
+                _ => 'x',
+            })
+            .collect();
+        let dumped = Json::Str(body.clone()).dump();
+        assert_eq!(dumped, reference(&body));
+        assert_eq!(Json::parse(&dumped), Ok(Json::Str(body)));
+
+        for unterminated in [r#""abc"#, r#""abc\"#, r#""a\""#, r#""a\u00"#] {
+            assert!(Json::parse(unterminated).is_err(), "{unterminated}");
+        }
+
+        let escaped = r#"["a\/b\u00e9", "plain", ""]"#;
+        assert_eq!(
+            Json::parse(escaped),
+            Ok(Json::Arr(vec![
+                Json::Str("a/bé".to_string()),
+                Json::Str("plain".to_string()),
+                Json::Str(String::new()),
+            ]))
+        );
+    }
+
+    #[test]
+    fn strings_with_an_escape_every_few_bytes_parse_in_linear_time() {
+        // 10^6 runs of one byte each: a scan that looked past the next
+        // escape for the closing quote would read about 10^12 bytes.
+        for escape in ["\\n", "\\\"", "\\u0041"] {
+            let pair = format!("a{escape}");
+            let text = format!("\"{}\"", pair.repeat(1_000_000));
+            let Ok(Json::Str(s)) = Json::parse(&text) else {
+                panic!("{escape} did not parse");
+            };
+            let unescaped = match escape {
+                "\\n" => "a\n",
+                "\\\"" => "a\"",
+                _ => "aA",
+            };
+            assert_eq!(s, unescaped.repeat(1_000_000), "{escape}");
+        }
     }
 
     #[test]
