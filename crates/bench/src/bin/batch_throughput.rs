@@ -1,8 +1,8 @@
 //! Cross-request batching win: requests/sec of bulk `submit_many`
 //! versus per-request `submit`, both into the same lane and its
-//! coalescing dispatcher, on a mixed same-size workload with residue
+//! group-commit dispatcher, on a mixed same-size workload with residue
 //! verification ON for every response. Results are recorded in
-//! `BENCH_service.json` at the repo root and in EXPERIMENTS.md §S5.
+//! `BENCH_service.json` at the repo root and in EXPERIMENTS.md §S5/§S13.
 //!
 //! Run with `cargo run --release -p ft-bench --bin batch_throughput`.
 //! `--quick` runs a reduced matrix and skips the JSON write (CI smoke).
@@ -14,7 +14,15 @@
 //! while per-element residue verification is preserved. Operand classes
 //! are small (0.25–2 kbit, all in the schoolbook band): the smaller the
 //! multiply, the larger the share of per-request overhead the batch
-//! amortizes away.
+//! amortizes away. The per-request mode still coalesces: its four
+//! submitters build a backlog while the lane runs a round, and the next
+//! round takes it whole.
+//!
+//! One round of one mode lasts 10–20 ms, and on a shared 2-vCPU host a
+//! single round's figure moves by up to 2× from run to run. The full run
+//! therefore alternates [`ROUNDS`] rounds of each mode, switching which
+//! mode goes first, and records each mode's median and quartiles and
+//! those of the paired ratio.
 
 use ft_bench::operands;
 use ft_bigint::BigInt;
@@ -28,12 +36,13 @@ const CLASSES: [u64; 4] = [256, 512, 1_024, 2_048];
 const SUBMITTERS: usize = 4;
 /// Requests per `submit_many` call in batched mode.
 const CHUNK: usize = 64;
+/// Rounds of each mode in a full run.
+const ROUNDS: usize = 21;
 
 struct RoundResult {
     rps: f64,
     batches: u64,
     batched_requests: u64,
-    high_water: usize,
 }
 
 fn config() -> ServiceConfig {
@@ -42,7 +51,6 @@ fn config() -> ServiceConfig {
         // win with every response still spot-checked.
         verify_residues: true,
         batching: BatchingConfig {
-            window_us: 0,
             max_batch: 32,
             queue_capacity: 256,
         },
@@ -53,6 +61,17 @@ fn config() -> ServiceConfig {
             ..TunerConfig::default()
         },
         ..ServiceConfig::default()
+    }
+}
+
+/// Retry `submit` while the lane's queue is full.
+fn admitted<H>(mut submit: impl FnMut() -> Result<H, SubmitError>) -> H {
+    loop {
+        match submit() {
+            Ok(handle) => return handle,
+            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
+            Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
+        }
     }
 }
 
@@ -75,22 +94,12 @@ fn run_round(batched: bool, workload: &[(BigInt, BigInt, BigInt)]) -> RoundResul
                         // half of cross-request batching.
                         let mut handles = Vec::new();
                         for chunk in mine.chunks(CHUNK) {
-                            let handle = loop {
-                                let pairs: Vec<(BigInt, BigInt)> = chunk
-                                    .iter()
-                                    .map(|&i| (workload[i].0.clone(), workload[i].1.clone()))
-                                    .collect();
-                                match service.submit_many(pairs) {
-                                    Ok(h) => break h,
-                                    Err(SubmitError::QueueFull { .. }) => {
-                                        std::thread::yield_now();
-                                    }
-                                    Err(SubmitError::ShuttingDown) => {
-                                        unreachable!("service is not shutting down")
-                                    }
-                                }
+                            let pairs = || {
+                                let pair =
+                                    |&i: &usize| (workload[i].0.clone(), workload[i].1.clone());
+                                chunk.iter().map(pair).collect()
                             };
-                            handles.push((chunk, handle));
+                            handles.push((chunk, admitted(|| service.submit_many(pairs()))));
                         }
                         for (chunk, handle) in handles {
                             let results = handle.wait();
@@ -104,18 +113,7 @@ fn run_round(batched: bool, workload: &[(BigInt, BigInt, BigInt)]) -> RoundResul
                         let mut handles = Vec::new();
                         for &i in &mine {
                             let (a, b, _) = &workload[i];
-                            let handle = loop {
-                                match service.submit(a.clone(), b.clone()) {
-                                    Ok(h) => break h,
-                                    Err(SubmitError::QueueFull { .. }) => {
-                                        std::thread::yield_now();
-                                    }
-                                    Err(SubmitError::ShuttingDown) => {
-                                        unreachable!("service is not shutting down")
-                                    }
-                                }
-                            };
-                            handles.push((i, handle));
+                            handles.push((i, admitted(|| service.submit(a.clone(), b.clone()))));
                         }
                         for (i, handle) in handles {
                             let product = handle.wait().expect("request failed");
@@ -140,15 +138,14 @@ fn run_round(batched: bool, workload: &[(BigInt, BigInt, BigInt)]) -> RoundResul
         rps: workload.len() as f64 / elapsed.as_secs_f64(),
         batches: metrics.batches,
         batched_requests: metrics.batched_requests,
-        high_water: metrics.batch_size_high_water,
     }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (requests, rounds) = if quick { (400, 2) } else { (4_000, 8) };
+    let (requests, rounds) = if quick { (400, 2) } else { (4_000, ROUNDS) };
     println!(
-        "batch_throughput ({} mode): {requests} requests/round, {rounds} rounds, \
+        "batch_throughput ({} mode): {requests} requests/round, {rounds} rounds per mode, \
          {SUBMITTERS} submitters, classes {CLASSES:?} bits, \
          residue verification on",
         if quick { "quick" } else { "full" },
@@ -163,66 +160,107 @@ fn main() {
             (a, b, expect)
         })
         .collect();
-    // Interleave modes within each round so machine drift (a noisy
-    // shared host can halve throughput for seconds at a time) cannot
-    // systematically favour one mode, and take each mode's best round:
-    // external contention only ever *subtracts* throughput, so the
-    // per-mode maximum over interleaved rounds is the estimator that
-    // converges to the machine's true capability in each mode (the
-    // min-time principle behind `timeit`-style benchmarks).
-    let mut baseline_best = f64::MIN;
-    let mut batched_best: Option<RoundResult> = None;
-    let mut ratios = Vec::with_capacity(rounds);
+    // Interleave the modes, and alternate which one goes first, so that
+    // host drift (steal can halve throughput for seconds at a time)
+    // falls on both alike.
+    let mut base_rounds = Vec::with_capacity(rounds);
+    let mut batch_rounds = Vec::with_capacity(rounds);
     for round in 0..rounds {
-        let base = run_round(false, &workload);
-        let batch = run_round(true, &workload);
+        let (base, batch) = if round % 2 == 0 {
+            let base = run_round(false, &workload);
+            (base, run_round(true, &workload))
+        } else {
+            let batch = run_round(true, &workload);
+            (run_round(false, &workload), batch)
+        };
         println!(
-            "  round {round}: baseline {:>9.1} req/s | batched {:>9.1} req/s = {:.2}x \
-             ({} batches, {} coalesced, high water {})",
+            "  round {round:>2}: baseline {:>9.1} req/s (fill {:.1}) | batched {:>9.1} req/s \
+             (fill {:.1}) = {:.2}x",
             base.rps,
+            fill(std::slice::from_ref(&base)),
             batch.rps,
+            fill(std::slice::from_ref(&batch)),
             batch.rps / base.rps,
-            batch.batches,
-            batch.batched_requests,
-            batch.high_water
         );
-        assert!(batch.batches > 0, "async path never coalesced a batch");
-        ratios.push(batch.rps / base.rps);
-        baseline_best = baseline_best.max(base.rps);
-        if batched_best.as_ref().is_none_or(|b| batch.rps > b.rps) {
-            batched_best = Some(batch);
-        }
+        assert!(
+            batch.batched_requests > batch.batches,
+            "bulk submissions never ran as coalesced groups"
+        );
+        base_rounds.push(base);
+        batch_rounds.push(batch);
     }
-    let batched_best = batched_best.expect("at least one round");
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = ratios[ratios.len() / 2];
-    let speedup = batched_best.rps / baseline_best;
-    let mean_fill = batched_best.batched_requests as f64 / batched_best.batches.max(1) as f64;
+    let base_rps = quartiles(base_rounds.iter().map(|r| r.rps));
+    let batch_rps = quartiles(batch_rounds.iter().map(|r| r.rps));
+    let ratio = quartiles(
+        base_rounds
+            .iter()
+            .zip(&batch_rounds)
+            .map(|(b, m)| m.rps / b.rps),
+    );
+    let wins = base_rounds
+        .iter()
+        .zip(&batch_rounds)
+        .filter(|(b, m)| m.rps > b.rps)
+        .count();
+    let (base_fill, batch_fill) = (fill(&base_rounds), fill(&batch_rounds));
     println!(
-        "over {rounds} rounds: baseline best {baseline_best:.1} req/s, batched best {:.1} req/s, \
-         speedup {speedup:.2}x (median paired ratio {median_ratio:.2}x, mean batch fill {mean_fill:.1})",
-        batched_best.rps,
+        "over {rounds} rounds per mode (median [q1, q3]): baseline {:.1} [{:.1}, {:.1}] req/s, \
+         batched {:.1} [{:.1}, {:.1}] req/s, paired ratio {:.2}x [{:.2}, {:.2}], \
+         batched faster in {wins}/{rounds}; mean batch fill baseline {base_fill:.2}, \
+         batched {batch_fill:.2}",
+        base_rps[1],
+        base_rps[0],
+        base_rps[2],
+        batch_rps[1],
+        batch_rps[0],
+        batch_rps[2],
+        ratio[1],
+        ratio[0],
+        ratio[2],
     );
     if quick {
         println!("quick mode: skipping BENCH_service.json write");
         return;
     }
     let classes = CLASSES.map(|c| c.to_string()).join(", ");
+    let quartile_json = |[q1, median, q3]: [f64; 3], digits: usize| {
+        format!("{{\"q1\": {q1:.digits$}, \"median\": {median:.digits$}, \"q3\": {q3:.digits$}}}")
+    };
     let json = format!(
         "{{\n  \"bench\": \"batch_throughput\",\n  \"requests\": {requests},\n  \
          \"rounds\": {rounds},\n  \"submitters\": {SUBMITTERS},\n  \"baseline\": \"submit\",\n  \
          \"chunk\": {CHUNK},\n  \"classes_bits\": [{classes}],\n  \"verify_residues\": true,\n  \
-         \"baseline_rps\": {baseline_best:.1},\n  \"batched_rps\": {:.1},\n  \
-         \"speedup\": {speedup:.3},\n  \"median_paired_ratio\": {median_ratio:.3},\n  \
-         \"batches\": {},\n  \"batched_requests\": {},\n  \
-         \"mean_batch_fill\": {mean_fill:.2},\n  \"batch_size_high_water\": {}\n}}\n",
-        batched_best.rps,
-        batched_best.batches,
-        batched_best.batched_requests,
-        batched_best.high_water,
+         \"baseline_rps\": {},\n  \"batched_rps\": {},\n  \
+         \"paired_ratio\": {},\n  \"batched_wins\": {wins},\n  \
+         \"baseline_mean_batch_fill\": {base_fill:.2},\n  \
+         \"batched_mean_batch_fill\": {batch_fill:.2}\n}}\n",
+        quartile_json(base_rps, 1),
+        quartile_json(batch_rps, 1),
+        quartile_json(ratio, 3),
     );
     std::fs::write("BENCH_service.json", keep_sections(&json)).expect("write BENCH_service.json");
     println!("wrote BENCH_service.json");
+}
+
+/// Requests per dispatch group over `rounds`, lone requests counting as
+/// groups of one.
+fn fill(rounds: &[RoundResult]) -> f64 {
+    let requests: u64 = rounds.iter().map(|r| r.batched_requests).sum();
+    let batches: u64 = rounds.iter().map(|r| r.batches).sum();
+    requests as f64 / batches.max(1) as f64
+}
+
+/// First quartile, median and third quartile of `values`, each
+/// interpolated linearly between the two nearest order statistics.
+fn quartiles(values: impl Iterator<Item = f64>) -> [f64; 3] {
+    let mut sorted: Vec<f64> = values.collect();
+    sorted.sort_by(f64::total_cmp);
+    let last = sorted.len().saturating_sub(1);
+    [0.25, 0.5, 0.75].map(|q| {
+        let pos = q * last as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    })
 }
 
 /// Carry the single-line sections other benches merged into

@@ -36,7 +36,6 @@ fn run_once(label: &str, bits: u64, requests: usize, max_batch: usize) {
         batching: BatchingConfig {
             max_batch,
             queue_capacity: 256,
-            ..BatchingConfig::default()
         },
         // The baseline excludes the (default-on) residue verification
         // hook; verify_overhead measures its delta against these rows.

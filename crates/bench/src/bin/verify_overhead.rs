@@ -153,7 +153,6 @@ fn service_run(bits: u64, requests: usize, verify: bool) -> u64 {
         batching: BatchingConfig {
             max_batch: 16,
             queue_capacity: 256,
-            ..BatchingConfig::default()
         },
         verify_residues: verify,
         chaos: None,

@@ -31,8 +31,7 @@ pub mod prom;
 use ft_bigint::BigInt;
 use ft_service::json::{obj, Json};
 use ft_service::{
-    BatchingConfig, MetricsSnapshot, MulError, MulService, Router, ServiceConfig, ShardConfig,
-    SubmitError,
+    MetricsSnapshot, MulError, MulService, Router, ServiceConfig, ShardConfig, SubmitError,
 };
 use metrics::{HttpMetrics, Route};
 use std::io::Write as _;
@@ -440,16 +439,24 @@ pub fn submit_error_status(e: &SubmitError) -> u16 {
     }
 }
 
-/// `Retry-After` seconds for a 429, derived from the batching
-/// configuration instead of a hardcoded constant: a backlog of `depth`
-/// requests drains in about `ceil(depth / max_batch)` coalescing
-/// windows of `window_us` each. Clamped to `[1, 30]` — whole seconds
-/// are the header's granularity, and past 30s a client should re-plan,
-/// not sleep.
+/// `Retry-After` seconds for a 429, derived from a time the service
+/// measures: a backlog of `depth` requests drains in about
+/// `depth × mean_latency_us`, where `mean_latency_us` is the mean
+/// submit-to-result latency of the requests served so far
+/// ([`MetricsSnapshot::mean_latency_us`]). Clamped to `[1, 30]` — whole
+/// seconds are the header's granularity, and past 30 s a client should
+/// re-plan, not sleep. With no history (a mean of 0) it says 1.
+///
+/// The estimate errs long under load: each served request's latency
+/// already includes the time it queued behind others, so the backlog
+/// that fills a queue is partly counted twice, and a lane that takes a
+/// backlog in batched rounds serves each request in less time than a
+/// lone one takes. It errs short when the queue holds bigger products
+/// than the history did, since the mean covers both lanes and every
+/// request since start.
 #[must_use]
-pub fn derive_retry_after(batching: &BatchingConfig, depth: usize) -> u64 {
-    let batches = depth.div_ceil(batching.max_batch.max(1)).max(1) as u64;
-    let drain_us = batches.saturating_mul(batching.window_us);
+pub fn derive_retry_after(depth: usize, mean_latency_us: u64) -> u64 {
+    let drain_us = (depth as u64).saturating_mul(mean_latency_us);
     drain_us.div_ceil(1_000_000).clamp(1, 30)
 }
 
@@ -467,7 +474,7 @@ fn send_submit_error(
             // across live shards — a retry lands on the shallowest
             // survivor, never on a dead shard's abandoned backlog.
             let depth = state.router.queue_depth().min(*capacity).max(1);
-            let retry_after = derive_retry_after(&state.router.service_config().batching, depth);
+            let retry_after = derive_retry_after(depth, state.router.metrics().mean_latency_us());
             let body = obj([
                 ("error", Json::Str("queue_full".to_string())),
                 ("detail", Json::Str(e.to_string())),
@@ -543,29 +550,26 @@ mod tests {
     }
 
     #[test]
-    fn retry_after_scales_with_batching_config() {
-        // Defaults: 1024-deep queue / 32-wide batches = 32 windows of
-        // 150µs ≈ 5ms — floors to the 1s minimum the header can say.
-        let default = BatchingConfig::default();
-        assert_eq!(derive_retry_after(&default, default.queue_capacity), 1);
-        // A slow coalescing window with a deep backlog derives a real
-        // wait: 100 batches × 50ms = 5s.
-        let slow = BatchingConfig {
-            window_us: 50_000,
-            max_batch: 10,
-            ..BatchingConfig::default()
-        };
-        assert_eq!(derive_retry_after(&slow, 1_000), 5);
-        // …and is clamped at 30s rather than telling clients to nap.
-        assert_eq!(derive_retry_after(&slow, 100_000), 30);
-        // Degenerate inputs stay in-range instead of panicking.
-        assert_eq!(derive_retry_after(&slow, 0), 1);
-        let zero_batch = BatchingConfig {
-            max_batch: 1,
-            window_us: 0,
-            ..BatchingConfig::default()
-        };
-        assert_eq!(derive_retry_after(&zero_batch, 50), 1);
+    fn retry_after_scales_with_measured_latency() {
+        // No history: nothing to scale, so the header's 1 s minimum.
+        assert_eq!(derive_retry_after(1_024, 0), 1);
+        // A full queue of fast requests still drains within a second:
+        // 1,024 × 300 µs ≈ 0.3 s.
+        assert_eq!(derive_retry_after(1_024, 300), 1);
+        // In between, the wait scales with depth and with latency,
+        // rounded up to whole seconds: 100 × 25 ms = 2.5 s, 200 × 25 ms
+        // = 5 s, 200 × 50 ms = 10 s.
+        assert_eq!(derive_retry_after(100, 25_000), 3);
+        assert_eq!(derive_retry_after(200, 25_000), 5);
+        assert_eq!(derive_retry_after(200, 50_000), 10);
+        // A slow history behind a deep backlog is clamped at 30 s rather
+        // than telling clients to nap: 1,024 × 18 ms ≈ 18.4 s is still
+        // said, 1,024 × 50 ms ≈ 51 s is not.
+        assert_eq!(derive_retry_after(1_024, 18_000), 19);
+        assert_eq!(derive_retry_after(1_024, 50_000), 30);
+        // Degenerate inputs stay in range instead of overflowing.
+        assert_eq!(derive_retry_after(0, 50_000), 1);
+        assert_eq!(derive_retry_after(usize::MAX, u64::MAX), 30);
     }
 
     #[test]

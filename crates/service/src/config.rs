@@ -143,13 +143,15 @@ impl<T: Value> Value for Vec<T> {
 /// Keys of removed options, as (section, key). Documents that still set
 /// them load, and the value is ignored: `workers`, `queue_capacity`,
 /// `batch_max` and the whole `verify` section at the top of a service
-/// config, `batching.lanes` and `chaos.escalate_panics`.
+/// config, `batching.lanes`, `batching.window_us` and
+/// `chaos.escalate_panics`.
 pub(crate) const RETIRED: &[(&str, &str)] = &[
     ("ServiceConfig", "workers"),
     ("ServiceConfig", "queue_capacity"),
     ("ServiceConfig", "batch_max"),
     ("ServiceConfig", "verify"),
     ("BatchingConfig", "lanes"),
+    ("BatchingConfig", "window_us"),
     ("ChaosConfig", "escalate_panics"),
 ];
 
@@ -332,17 +334,16 @@ options! {
 }
 
 options! {
-    /// Knobs for the two execution lanes: how long a lane's dispatcher
-    /// waits to coalesce same-shape requests, and how much each lane
-    /// queues.
+    /// Knobs for the two execution lanes: how many queued requests a
+    /// lane's dispatcher takes into one round, and how much each lane
+    /// queues. A lane never waits for companions: a round is what is
+    /// queued when the lane frees, so same-shape requests coalesce only
+    /// from a backlog (group commit; see the `dispatcher` module).
     pub struct BatchingConfig {
-        /// Coalescing window in µs: after the first queued request arrives,
-        /// the dispatcher keeps collecting for at most this long before
-        /// dispatching. `0` disables coalescing (every request dispatches
-        /// alone, still through its lane's dispatcher).
-        pub window_us: u64 = 150;
-        /// Most requests merged into one executed batch. Each lane sizes
-        /// its round buffers by it at start-up.
+        /// Most requests one round takes from the lane's queue, and so
+        /// the most merged into one executed batch (a bulk submission
+        /// joins its round whole). Each lane sizes its round buffers by it
+        /// at start-up.
         pub max_batch: usize = 32, 1..=4_096;
         /// Capacity of each lane's submission queue; a submission beyond it
         /// returns [`crate::SubmitError::QueueFull`].
@@ -451,9 +452,9 @@ impl DistributedConfig {
 
 options! {
     /// Full service configuration. [`Self::from_json`] rejects keys no row
-    /// declares, except six retired ones that load and are ignored:
+    /// declares, except seven retired ones that load and are ignored:
     /// `workers`, `queue_capacity`, `batch_max`, `verify`,
-    /// `batching.lanes` and `chaos.escalate_panics`.
+    /// `batching.lanes`, `batching.window_us` and `chaos.escalate_panics`.
     pub struct ServiceConfig {
         /// Queue-age bound in milliseconds after which deadline-less
         /// requests are shed ([`crate::MulError::Shed`]); `None` disables
@@ -475,7 +476,7 @@ options! {
         /// Optional deterministic fault-injection plan (chaos testing);
         /// `None` injects nothing.
         pub chaos: Option<ChaosConfig> = None;
-        /// Both lanes' coalescing window, batch bound, and queue capacity.
+        /// Both lanes' round bound and queue capacity.
         pub batching: BatchingConfig = BatchingConfig::default();
         /// Adaptive threshold tuner driven by the live latency histogram.
         pub tuner: TunerConfig = TunerConfig::default();
@@ -583,10 +584,10 @@ pub enum ConfigError {
     Invalid(String),
     /// A key that no row declares and that no removed option used.
     UnknownKey {
-        /// The key's full dotted path, e.g. `batching.window_sus`.
+        /// The key's full dotted path, e.g. `batching.max_batches`.
         path: String,
         /// The declared key at the same level closest to it, as a full
-        /// path, e.g. `batching.window_us`.
+        /// path, e.g. `batching.max_batch`.
         nearest: String,
     },
 }
@@ -630,9 +631,9 @@ mod tests {
     #[test]
     fn removed_options_are_ignored() {
         // Documents written for the worker pool, per-batch lane threads,
-        // panic escalation and the dual-algorithm verification rung still
-        // load; the keys no longer mean anything, even values the old
-        // validation rejected.
+        // panic escalation, the dual-algorithm verification rung and the
+        // coalescing window still load; the keys no longer mean anything,
+        // even values the old validation rejected.
         let cfg = ServiceConfig::from_json(
             r#"{"workers": 0, "queue_capacity": 0, "batch_max": 0,
                 "batching": {"lanes": 2, "max_batch": 8},
@@ -655,6 +656,16 @@ mod tests {
         assert!(
             !cfg.to_json().contains("\"verify\""),
             "verify is still emitted"
+        );
+        let cfg = ServiceConfig::from_json(
+            r#"{"batching": {"window_us": 150, "max_batch": 8, "queue_capacity": 32}}"#,
+        )
+        .unwrap();
+        assert_eq!(cfg.batching.max_batch, 8);
+        assert_eq!(cfg.batching.queue_capacity, 32);
+        assert!(
+            !cfg.to_json().contains("window_us"),
+            "window_us is still emitted"
         );
     }
 
@@ -688,13 +699,12 @@ mod tests {
     fn batching_and_tuner_round_trip() {
         let cfg = ServiceConfig::from_json(
             r#"{
-                "batching": {"window_us": 75, "max_batch": 8, "queue_capacity": 32},
+                "batching": {"max_batch": 8, "queue_capacity": 32},
                 "tuner": {"enabled": false, "interval_ms": 250, "min_samples": 10,
                           "slowdown_pct": 150}
             }"#,
         )
         .unwrap();
-        assert_eq!(cfg.batching.window_us, 75);
         assert_eq!(cfg.batching.max_batch, 8);
         assert_eq!(cfg.batching.queue_capacity, 32);
         assert!(!cfg.tuner.enabled);

@@ -1,10 +1,14 @@
-//! The coalescing dispatcher: the loop each execution lane runs on its
+//! The group-commit dispatcher: the loop each execution lane runs on its
 //! own thread (see [`crate::service`] for the small/big lane split).
 //!
-//! The loop consumes its lane's queue. After the first request of a
-//! round arrives it keeps collecting for at most `batching.window_us`
-//! (or until `batching.max_batch`), then partitions the round by
-//! `(kernel, operand size class)` and executes each group of two or more
+//! The loop consumes its lane's queue. A round is the first queued
+//! message plus whatever is already queued behind it, taken in one
+//! `try_recv_many` up to `batching.max_batch` requests, and it is
+//! dispatched at once: the lane never waits for companions. Batching
+//! comes from the backlog that builds while the lane runs a round, as in
+//! a database's group commit — an idle lane serves a lone request
+//! alone, a loaded one takes the whole backlog. The round is partitioned
+//! by `(kernel, operand size class)`, and each group of two or more runs
 //! as ONE supervised batch on this thread — one plan resolution, one
 //! chaos/`catch_unwind` boundary, one breaker update for the whole group,
 //! and every product verified while it is still cache-hot (see
@@ -15,26 +19,24 @@
 //! bandwidth and latency are charged per *batch* of parallel
 //! multiplications, so same-shape requests should share one submission
 //! into the engine instead of paying per-request overhead `n` times.
-//! In the same spirit, queued backlog is drained through
-//! `try_recv_many` — one lock hand-off per sweep, not one per request —
-//! so a loaded dispatcher stops contending with submitters on the
-//! channel mutex.
+//! Sweeping the backlog in one `try_recv_many` is one lock hand-off per
+//! round, not one per request, so a loaded dispatcher stops contending
+//! with submitters on the channel mutex.
 
 use crate::kernel::Kernel;
 use crate::metrics::size_class;
 use crate::service::{execute_single, gate, MulRequest, Shared, Submission};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use crossbeam::channel::Receiver;
+use std::time::Instant;
 
 /// Run the dispatcher until its lane's channel disconnects and drains.
 ///
 /// Each queue message is a [`Submission`]: a single request or a whole
 /// bulk job, exploded here into per-request round entries. `max_batch`
-/// bounds how many *messages* a round collects; a bulk job always joins
+/// bounds how many requests a round collects; a bulk job always joins
 /// its round whole, so rounds may exceed `max_batch` elements rather
 /// than split a client's batch.
 pub(crate) fn dispatcher_loop(rx: &Receiver<Submission>, shared: &Shared) {
-    let window = Duration::from_micros(shared.config.batching.window_us);
     let max_batch = shared.config.batching.max_batch;
     let mut round: Vec<MulRequest> = Vec::with_capacity(max_batch);
     let mut backlog: Vec<Submission> = Vec::with_capacity(max_batch);
@@ -42,36 +44,9 @@ pub(crate) fn dispatcher_loop(rx: &Receiver<Submission>, shared: &Shared) {
     // queue is empty, so shutdown drains everything already accepted.
     while let Ok(first) = rx.recv() {
         explode(first, &mut round);
-        // Sweep the backlog in one lock acquisition…
-        let slack = max_batch.saturating_sub(round.len());
-        rx.try_recv_many(&mut backlog, slack);
+        rx.try_recv_many(&mut backlog, max_batch.saturating_sub(round.len()));
         for submission in backlog.drain(..) {
             explode(submission, &mut round);
-        }
-        // …and only if that leaves slack, wait out the window for
-        // same-round companions.
-        if !window.is_zero() && round.len() < max_batch {
-            let close_at = Instant::now() + window;
-            while round.len() < max_batch {
-                let now = Instant::now();
-                let Some(remaining) = close_at
-                    .checked_duration_since(now)
-                    .filter(|r| !r.is_zero())
-                else {
-                    break;
-                };
-                match rx.recv_timeout(remaining) {
-                    Ok(submission) => {
-                        explode(submission, &mut round);
-                        let slack = max_batch.saturating_sub(round.len());
-                        rx.try_recv_many(&mut backlog, slack);
-                        for submission in backlog.drain(..) {
-                            explode(submission, &mut round);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-                }
-            }
         }
         dispatch_round(&mut round, shared);
     }

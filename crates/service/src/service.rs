@@ -1,5 +1,5 @@
 //! The multiplication service: two execution lanes, each a bounded queue
-//! drained by one coalescing dispatcher thread, and the slot table
+//! drained by one group-commit dispatcher thread, and the slot table
 //! clients wait on.
 //!
 //! Architecture: [`MulService::submit`] and [`MulService::submit_many`]
@@ -11,10 +11,12 @@
 //!   limb-kernel call, no Toom recursion);
 //! - the **big lane** takes everything else.
 //!
-//! Each lane runs the `dispatcher` module's loop on its own thread, which
-//! coalesces same-shape requests into one supervised batch. A bulk
-//! submission travels as one queue message to the lane of its largest
-//! operand. Every submission resolves through one slot table: a
+//! Each lane runs the `dispatcher` module's loop on its own thread. Its
+//! round is whatever the queue holds when the lane frees, taken at once:
+//! an idle lane serves a lone request without waiting, and a loaded lane
+//! runs the same-shape requests of its backlog as one supervised batch.
+//! A bulk submission travels as one queue message to the lane of its
+//! largest operand. Every submission resolves through one slot table: a
 //! [`ResponseHandle`] reads its one slot, a [`BatchHandle`] its `n`
 //! slots, and the request side fills each slot exactly once through its
 //! write capability. The split keeps a kilobit request from queueing
@@ -583,10 +585,12 @@ impl MulService {
     }
 
     /// Submit `a × b` with no deadline. The request joins its lane's
-    /// queue, where the dispatcher may merge it with other same-shape
-    /// requests into one batch kernel invocation. Returns immediately;
-    /// resolve the handle by polling ([`ResponseHandle::try_wait`]),
-    /// blocking, or callback ([`ResponseHandle::on_ready`]).
+    /// queue. An idle lane dispatches it at once; a busy one takes it
+    /// with the rest of its backlog when the current round ends, and runs
+    /// it with same-shape requests queued beside it as one batch kernel
+    /// invocation. Returns immediately; resolve the handle by polling
+    /// ([`ResponseHandle::try_wait`]), blocking, or callback
+    /// ([`ResponseHandle::on_ready`]).
     pub fn submit(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
         self.submit_one(a, b, Deadline::None)
     }
@@ -1200,14 +1204,18 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn requests_resolve_and_coalesce() {
-        let config = ServiceConfig {
-            // A generous window so quickly-submitted requests coalesce
-            // deterministically into few batches.
+    /// Request 0 is a forced straggler: its round sleeps 250 ms on the
+    /// small lane, so whatever is submitted meanwhile queues behind it.
+    /// The tuner is off, so every request keeps its kernel.
+    fn stalled_config(max_batch: usize) -> ServiceConfig {
+        ServiceConfig {
+            chaos: Some(crate::chaos::ChaosConfig {
+                straggle_ms: 250,
+                force: vec![(0, crate::chaos::FaultKind::Straggle)],
+                ..crate::chaos::ChaosConfig::default()
+            }),
             batching: BatchingConfig {
-                window_us: 50_000,
-                max_batch: 8,
+                max_batch,
                 ..BatchingConfig::default()
             },
             tuner: TunerConfig {
@@ -1215,29 +1223,92 @@ mod tests {
                 ..TunerConfig::default()
             },
             ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(19);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            // Same size class (4 kbit) and kernel → one coalesced group.
-            let a = BigInt::random_signed_bits(&mut rng, 4_000);
-            let b = BigInt::random_signed_bits(&mut rng, 4_000);
-            let want = a.mul_schoolbook(&b);
-            handles.push((service.submit(a, b).unwrap(), want));
         }
+    }
+
+    /// Submit request 0 of a [`stalled_config`] service and wait until
+    /// its round has closed and the straggle began, so that nothing
+    /// submitted later can join that round.
+    fn start_straggler(service: &MulService, rng: &mut StdRng) -> ResponseHandle {
+        let x = BigInt::random_bits(rng, 500);
+        let handle = service.submit(x.clone(), x).unwrap();
+        // The injection is metered just before the attempt sleeps.
+        wait_until("the straggle is injected", || {
+            service.metrics().injected_faults[crate::chaos::FaultKind::Straggle as usize].1 == 1
+        });
+        handle
+    }
+
+    /// `n` products of `bits`-bit operands, one size class and kernel,
+    /// with their expected results.
+    fn same_class_work(n: usize, bits: u64, rng: &mut StdRng) -> Vec<(BigInt, BigInt, BigInt)> {
+        (0..n)
+            .map(|_| {
+                let a = BigInt::random_signed_bits(rng, bits);
+                let b = BigInt::random_signed_bits(rng, bits);
+                let want = a.mul_schoolbook(&b);
+                (a, b, want)
+            })
+            .collect()
+    }
+
+    /// Submit `work` and check every product.
+    fn submit_and_check(service: &MulService, work: Vec<(BigInt, BigInt, BigInt)>) {
+        let handles: Vec<_> = work
+            .into_iter()
+            .map(|(a, b, want)| (service.submit(a, b).unwrap(), want))
+            .collect();
         for (handle, want) in handles {
             assert_eq!(handle.wait().unwrap(), want);
         }
+    }
+
+    /// A backlog coalesces in rounds of at most `max_batch`: ten
+    /// same-class requests queued behind a stalled round run as a group
+    /// of eight, then a group of two.
+    #[test]
+    fn requests_resolve_and_coalesce() {
+        let service = MulService::start(stalled_config(8));
+        let mut rng = rng(19);
+        // Same size class (4 kbit) and kernel → coalesced groups.
+        let work = same_class_work(10, 4_000, &mut rng);
+        let straggler = start_straggler(&service, &mut rng);
+        submit_and_check(&service, work);
+        assert!(straggler.wait().is_ok());
         let metrics = service.shutdown();
-        assert_eq!(metrics.served, 8);
-        assert!(metrics.batches >= 1, "expected coalescing, got none");
-        assert!(
-            metrics.batched_requests >= 2,
-            "batched_requests {}",
-            metrics.batched_requests
+        assert_eq!(metrics.served, 11);
+        // The straggler's round, then eight, then two.
+        assert_eq!((metrics.batches, metrics.batched_requests), (3, 11));
+        assert_eq!(metrics.batch_size_high_water, 8);
+    }
+
+    /// Group commit: a lane never waits for companions. N same-class
+    /// requests queued behind a stalled round run as one group of N, and
+    /// a lone request submitted once the lane is idle runs as a round of
+    /// its own.
+    #[test]
+    fn group_commit_runs_the_backlog_as_one_group() {
+        const N: usize = 5;
+        let service = MulService::start(stalled_config(BatchingConfig::default().max_batch));
+        let mut rng = rng(35);
+        let work = same_class_work(N, 1_000, &mut rng);
+        let straggler = start_straggler(&service, &mut rng);
+        submit_and_check(&service, work);
+        assert!(straggler.wait().is_ok());
+        let metrics = service.metrics();
+        assert_eq!(
+            (metrics.batches, metrics.batched_requests),
+            (2, 1 + N as u64)
         );
-        assert!(metrics.batch_size_high_water >= 2);
+        assert_eq!(metrics.batch_size_high_water, N);
+        submit_and_check(&service, same_class_work(1, 1_000, &mut rng));
+        let metrics = service.shutdown();
+        assert_eq!(metrics.served, 2 + N as u64);
+        assert_eq!(
+            (metrics.batches, metrics.batched_requests),
+            (3, 2 + N as u64)
+        );
+        assert_eq!(metrics.batch_size_high_water, N);
     }
 
     #[test]
@@ -1326,24 +1397,10 @@ mod tests {
     #[test]
     fn deadline_expiring_behind_straggler_counts_timed_out() {
         crate::chaos::install_quiet_panic_hook();
-        let config = ServiceConfig {
-            chaos: Some(crate::chaos::ChaosConfig {
-                straggle_ms: 250,
-                force: vec![(0, crate::chaos::FaultKind::Straggle)],
-                ..crate::chaos::ChaosConfig::default()
-            }),
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
+        let service = MulService::start(stalled_config(BatchingConfig::default().max_batch));
         let mut rng = rng(24);
+        let straggler = start_straggler(&service, &mut rng);
         let x = BigInt::random_bits(&mut rng, 500);
-        let straggler = service.submit(x.clone(), x.clone()).unwrap();
-        // The injection is metered once the straggler's round has closed
-        // and its attempt begins to sleep, so the doomed request below
-        // queues behind it instead of joining its round.
-        wait_until("the straggle is injected", || {
-            service.metrics().injected_faults[crate::chaos::FaultKind::Straggle as usize].1 == 1
-        });
         let doomed = service
             .submit_with_deadline(x.clone(), x.clone(), Duration::from_millis(5))
             .unwrap();

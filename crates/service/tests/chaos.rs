@@ -20,7 +20,7 @@ use ft_service::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Bounded queues are part of the design: on transient backpressure keep
 /// trying instead of dropping the request on the floor.
@@ -221,8 +221,9 @@ fn ntt_chaos_run_survives() {
     assert_eq!(metrics.residue_checks, 200 + metrics.verification_failures);
 }
 
-/// The batched acceptance run: the same fault plan with a wide
-/// coalescing window, where the dispatcher merges same-class requests
+/// The batched acceptance run: the same fault plan, with request 0 a
+/// forced straggler that the other 299 queue behind. The lane then takes
+/// its backlog in rounds of `max_batch` and merges same-class requests
 /// into single supervised batches. A fault injected into one batch
 /// element must never fail an uninjured neighbour — every request still
 /// resolves to a verified-correct product.
@@ -233,7 +234,13 @@ fn batched_chaos_run_survives() {
     let config = ServiceConfig {
         kernel_policy: mixed_kernel_policy(),
         verify_residues: true,
-        chaos: Some(chaos_config(seed)),
+        chaos: Some(ChaosConfig {
+            // Long enough for the whole workload to queue behind request
+            // 0; the drawn stragglers sleep as long, once per batch.
+            straggle_ms: 50,
+            force: vec![(0, FaultKind::Straggle)],
+            ..chaos_config(seed)
+        }),
         retry: RetryPolicy {
             max_retries: 3,
             backoff_base_ms: 1,
@@ -244,9 +251,6 @@ fn batched_chaos_run_survives() {
             open_ms: 20,
         },
         batching: BatchingConfig {
-            // A generous window so a single fast submitter reliably lands
-            // companions in each round.
-            window_us: 20_000,
             max_batch: 16,
             ..BatchingConfig::default()
         },
@@ -269,8 +273,17 @@ fn batched_chaos_run_survives() {
         })
         .collect();
     let mut pending = Vec::new();
-    for (a, b, expect) in workload {
+    for (i, (a, b, expect)) in workload.into_iter().enumerate() {
         pending.push((submit_with_backoff(&service, a, b), expect));
+        if i == 0 {
+            // The injection is metered just before the straggler's
+            // attempt sleeps: its round is closed, and the rest queue.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while service.metrics().injected_faults[FaultKind::Straggle as usize].1 == 0 {
+                assert!(Instant::now() < deadline, "request 0 never straggled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
         match handle.wait_timeout(Duration::from_secs(300)) {
@@ -284,10 +297,13 @@ fn batched_chaos_run_survives() {
     let metrics = service.shutdown();
     assert_eq!(metrics.served, 300);
     assert_eq!(metrics.worker_faults, 0, "no request exhausted recovery");
-    assert!(metrics.batches > 0, "nothing coalesced — window too tight?");
+    assert!(metrics.batches > 0, "nothing was dispatched");
     assert!(metrics.batched_requests > metrics.batches);
     let injected: u64 = metrics.injected_faults.iter().map(|&(_, n)| n).sum();
-    assert!(injected > 0, "the fault plan injected nothing");
+    assert!(
+        injected > 1,
+        "the fault plan injected nothing beyond the forced straggle"
+    );
     // On the batch path a drawn corruption can be masked by a sibling's
     // panic (the batch attempt dies before products exist), so unlike the
     // per-request run the tally is an upper bound, not an equality.

@@ -14,7 +14,7 @@ use ft_service::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A topology where each of the 56 options differs from its default,
+/// A topology where each of the 55 options differs from its default,
 /// chaos included, with both forced-fault lists non-empty.
 fn every_option_changed() -> ShardConfig {
     ShardConfig {
@@ -56,7 +56,6 @@ fn every_option_changed() -> ShardConfig {
                 force_shard: vec![(1, 5, FaultKind::ShardKill), (2, 8, FaultKind::ShardStall)],
             }),
             batching: BatchingConfig {
-                window_us: 75,
                 max_batch: 16,
                 queue_capacity: 512,
             },
@@ -95,7 +94,7 @@ fn every_option_changed() -> ShardConfig {
 
 /// `ServiceConfig::default().to_json()`.
 const DEFAULT_SERVICE: &str = concat!(
-    r#"{"batching":{"max_batch":32,"queue_capacity":1024,"window_us":150},"#,
+    r#"{"batching":{"max_batch":32,"queue_capacity":1024},"#,
     r#""breaker":{"failure_threshold":5,"open_ms":250},"#,
     r#""chaos":null,"#,
     r#""distributed":{"bfs_steps":1,"deadline_budget":1,"delay_factor":4,"delay_ranks":0,"#,
@@ -114,7 +113,7 @@ const DEFAULT_SERVICE: &str = concat!(
 
 /// `every_option_changed().service.to_json()`.
 const CHANGED_SERVICE: &str = concat!(
-    r#"{"batching":{"max_batch":16,"queue_capacity":512,"window_us":75},"#,
+    r#"{"batching":{"max_batch":16,"queue_capacity":512},"#,
     r#""breaker":{"failure_threshold":7,"open_ms":125},"#,
     r#""chaos":{"corrupt_per_10k":300,"corruption":"residue_evading","force":[{"index":3,"#,
     r#""kind":"panic"},{"index":9,"kind":"corrupt"}],"force_shard":[{"kind":"shard_kill","#,
@@ -283,8 +282,8 @@ fn misspelt_keys_fail_at_every_level() {
     assert!(levels.contains("service.chaos.force_shard[1]"));
 
     assert_eq!(
-        ServiceConfig::from_json(r#"{"batching": {"window_sus": 5}}"#),
-        Err(unknown("batching.window_sus", "batching.window_us"))
+        ServiceConfig::from_json(r#"{"batching": {"max_batches": 5}}"#),
+        Err(unknown("batching.max_batches", "batching.max_batch"))
     );
     assert_eq!(
         ServiceConfig::from_json(r#"{"distributed": {"enabled": true, "F": 2}}"#),
@@ -325,7 +324,7 @@ fn every_row_sets_only_its_field() {
     let chaos_doc = Json::parse(&with_chaos.to_json()).unwrap();
     let mut rows = Vec::new();
     leaves(&chaos_doc, "", &mut rows);
-    assert_eq!(rows.len(), 56, "{rows:?}");
+    assert_eq!(rows.len(), 55, "{rows:?}");
     for row in rows {
         let value = at(&changed, &row).clone();
         let (base, base_doc) = if row.starts_with("service.chaos.") {

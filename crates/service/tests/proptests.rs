@@ -1,4 +1,4 @@
-//! Property tests: whatever the batch bound, coalescing window, lane
+//! Property tests: whatever the batch bound, queue capacity, lane
 //! boundary, kernel policy, or submitter concurrency, every product the
 //! service returns equals schoolbook.
 
@@ -20,7 +20,6 @@ proptest! {
     fn results_equal_schoolbook_across_policies(
         seed in any::<u64>(),
         max_batch in 1usize..24,
-        window_us in 0u64..300,
         queue_capacity in 8usize..64,
         schoolbook_max_bits in 256u64..4_096,
         seq_span in 4_096u64..24_576,
@@ -29,7 +28,6 @@ proptest! {
     ) {
         let config = ServiceConfig {
             batching: BatchingConfig {
-                window_us,
                 max_batch,
                 queue_capacity,
             },

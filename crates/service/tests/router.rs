@@ -310,7 +310,17 @@ fn hot_shard_work_is_stolen_by_an_idle_sibling() {
     let (a, b, want) = work.remove(0);
     let owner = router.owner_of(&a, &b).unwrap();
     let mut pending = vec![(router.submit(a, b).unwrap(), want)];
-    std::thread::sleep(Duration::from_millis(30));
+    // Once the owner's lane has dispatched the first request, it grinds
+    // it for tens of milliseconds (more in a debug build), and the
+    // requests below queue behind it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while router.metrics().batches == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the first request never dispatched"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Pile 3 unstarted requests on the owner: depth 3 > hot_watermark 2;
     // the 4th gets stolen by the idle sibling.
     for (a, b, want) in work {
@@ -345,7 +355,6 @@ fn router_sheds_only_when_all_live_shards_are_saturated() {
             batching: BatchingConfig {
                 queue_capacity: 2,
                 max_batch: 1,
-                ..BatchingConfig::default()
             },
             ..ServiceConfig::default()
         },

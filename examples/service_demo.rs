@@ -27,7 +27,6 @@ fn healthy_run() {
         batching: BatchingConfig {
             max_batch: 16,
             queue_capacity: 256,
-            ..BatchingConfig::default()
         },
         kernel_policy: KernelPolicy {
             // Thresholds pulled down so the 1..32000-bit workload
@@ -97,7 +96,6 @@ fn starved_run() {
         batching: BatchingConfig {
             max_batch: 4,
             queue_capacity: 1,
-            ..BatchingConfig::default()
         },
         shed_after_ms: Some(0),
         kernel_policy: KernelPolicy {

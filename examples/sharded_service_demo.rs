@@ -33,12 +33,20 @@ fn topology() -> ShardConfig {
     }
 }
 
-fn wait_for(router: &Router, shard: usize, state: ShardState) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while router.shard_states()[shard] != state {
-        assert!(Instant::now() < deadline, "shard never became {state:?}");
-        std::thread::sleep(Duration::from_millis(2));
+/// Poll `done` until it holds, failing after a generous deadline
+/// rather than hanging.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+fn wait_for(router: &Router, shard: usize, state: ShardState) {
+    wait_until(&format!("shard {shard} is {state:?}"), || {
+        router.shard_states()[shard] == state
+    });
 }
 
 fn main() {
@@ -59,19 +67,24 @@ fn main() {
     let victim = router.owner_of(&work[0].0, &work[0].1).expect("owner");
     println!("   victim shard: {victim} (owner of the whole size class)");
 
-    let handles: Vec<_> = work
-        .iter()
-        .map(|(a, b, _)| router.submit(a.clone(), b.clone()).expect("submit"))
-        .collect();
-    while router.shard_depths()[victim] < 2 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The first request occupies the victim's big lane; once that lane
+    // has dispatched it, the other seven queue behind it, and the kill
+    // strands them there.
+    let submit = |(a, b, _): &(BigInt, BigInt, BigInt)| router.submit(a.clone(), b.clone());
+    let mut handles = vec![submit(&work[0]).expect("submit")];
+    wait_until("the victim's lane dispatches the first request", || {
+        router.metrics().batches == 1
+    });
+    handles.extend(work[1..].iter().map(|w| submit(w).expect("submit")));
     router.kill_shard(victim);
     wait_for(&router, victim, ShardState::Dead);
     println!("   shard {victim} declared dead by the heartbeat monitor");
 
     for (handle, (_, _, want)) in handles.into_iter().zip(&work) {
-        let got = handle.wait().expect("failover saves stranded work");
+        let Ok(result) = handle.wait_timeout(Duration::from_secs(60)) else {
+            panic!("a request did not resolve within 60 s");
+        };
+        let got = result.expect("failover saves stranded work");
         assert_eq!(&got, want, "failover must preserve bit-exactness");
     }
     let snap = router.metrics();

@@ -18,15 +18,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== examples (every root example runs; a panic or non-zero exit fails) =="
+echo "== examples (every root example runs; a panic, non-zero exit or hang fails) =="
 # The test leg above only builds the examples. Most of them check their
 # products against schoolbook, and the service demos build configs from
 # the public structs and print `to_json()`, so this also smoke-tests the
-# config declarations.
+# config declarations. Each run is capped at 300 s (the slowest example
+# takes about 30 s), so a hang fails the leg and names the example
+# instead of stalling CI.
+cargo build --release -q --examples
 for example in examples/*.rs; do
   name=$(basename "$example" .rs)
   echo "-- $name --"
-  cargo run --release -q --example "$name" >/dev/null
+  status=0
+  timeout 300 cargo run --release -q --example "$name" >/dev/null || status=$?
+  if ((status == 124)); then
+    echo "ci.sh: example $name did not finish within 300 s" >&2
+    exit 1
+  elif ((status != 0)); then
+    echo "ci.sh: example $name failed with exit status $status" >&2
+    exit "$status"
+  fi
 done
 
 echo "== repository benchmark: build and test (ftbench/, its own workspace) =="
